@@ -4,8 +4,9 @@
 //!
 //! - `mixed_window/dispatch_savings`: a plan whose levels mix lane widths (8-bit ops
 //!   over many lanes next to 16-bit ops over few) must complete in **fewer dispatch
-//!   windows** than its batch count — the PR 9 baseline serialized every batch — with
-//!   bit-identical results and functional accounting between the two schedules.
+//!   windows** than the fully serialized schedule — the same dataflow as eager calls,
+//!   one dispatch per step — with bit-identical results, per-step reports and
+//!   functional accounting between the two.
 //! - `sharded_scaling/1_to_4_devices`: the same oversized elementwise workload on
 //!   fleets of 1, 2 and 4 devices. One device serializes its capacity waves; four run
 //!   them concurrently, so modeled throughput must scale **≥ 2×** at 4 devices while
@@ -34,76 +35,77 @@ fn fleet(devices: usize, policy: ShardPolicy) -> ShardedMachine {
     .expect("functional fleet")
 }
 
-/// Mixed-lane-width plan executed with MIMD windows on vs off (the PR 9 serialized
-/// baseline): fewer dispatch windows, identical everything else.
+/// Mixed-lane-width plan executed in MIMD windows against the fully serialized
+/// schedule — the same dataflow issued as eager calls in the plan's batch order, one
+/// dispatch per step: fewer dispatch windows, identical everything else.
 fn mixed_window() -> Vec<Datapoint> {
     let wide_vals: Vec<u64> = (0..1_024u64).map(|i| (i * 37 + 11) & 0xFF).collect();
     let narrow_vals: Vec<u64> = (0..96u64).map(|i| (i * 91 + 3) & 0xFFFF).collect();
 
-    let mut runs = Vec::new();
-    for mimd in [true, false] {
-        let mut config = SimdramConfig::functional_test();
-        config.mimd_windows = mimd;
-        let mut m = SimdramMachine::new(config).expect("functional config");
-        let wide = m.alloc_and_write(8, &wide_vals).expect("write wide");
-        let narrow = m.alloc_and_write(16, &narrow_vals).expect("write narrow");
-        // Two independent chains of differing lane widths; their same-level steps land
-        // in separate batches that share a dispatch window.
-        let mut s = PlanBuilder::new();
-        let we = s.input(&wide);
-        let ne = s.input(&narrow);
-        let cw = s.constant(8, wide_vals.len(), 60).expect("const");
-        let cn = s.constant(16, narrow_vals.len(), 1_000).expect("const");
-        let sum_w = s.add(we, cw).expect("add");
-        let min_n = s.min(ne, cn).expect("min");
-        let abs_w = s.abs(sum_w).expect("abs");
-        let max_n = s.max(min_n, ne).expect("max");
-        let out_w = s.materialize(abs_w).expect("materialize");
-        let out_n = s.materialize(max_n).expect("materialize");
-        let plan = s.compile().expect("compile");
+    let mut m = SimdramMachine::new(SimdramConfig::functional_test()).expect("functional config");
+    let wide = m.alloc_and_write(8, &wide_vals).expect("write wide");
+    let narrow = m.alloc_and_write(16, &narrow_vals).expect("write narrow");
+    // Two independent chains of differing lane widths; their same-level steps land in
+    // separate batches that share a dispatch window.
+    let mut s = PlanBuilder::new();
+    let we = s.input(&wide);
+    let ne = s.input(&narrow);
+    let cw = s.constant(8, wide_vals.len(), 60).expect("const");
+    let cn = s.constant(16, narrow_vals.len(), 1_000).expect("const");
+    let sum_w = s.add(we, cw).expect("add");
+    let min_n = s.min(ne, cn).expect("min");
+    let abs_w = s.abs(sum_w).expect("abs");
+    let max_n = s.max(min_n, ne).expect("max");
+    let out_w = s.materialize(abs_w).expect("materialize");
+    let out_n = s.materialize(max_n).expect("materialize");
+    let plan = s.compile().expect("compile");
+    let exec = m.run_plan(&plan).expect("run");
+    let mimd_w = m.read(exec.output(out_w)).expect("read");
+    let mimd_n = m.read(exec.output(out_n)).expect("read");
+    let report = exec.report();
+    let mimd_dispatches = m.estimate().broadcasts;
 
-        let exec = m.run_plan(&plan).expect("run");
-        let rw = m.read(exec.output(out_w)).expect("read");
-        let rn = m.read(exec.output(out_n)).expect("read");
-        runs.push((
-            rw,
-            rn,
-            exec.report().clone(),
-            m.estimate().broadcasts,
-            m.device_stats().clone(),
-            plan.batch_count(),
-            plan.window_count(),
-        ));
-    }
-    let serial = runs.pop().expect("serialized run");
-    let mimd = runs.pop().expect("mimd run");
+    // The serialized oracle: each level's wide batch issues before its narrow one.
+    let mut e = SimdramMachine::new(SimdramConfig::functional_test()).expect("functional config");
+    let wide = e.alloc_and_write(8, &wide_vals).expect("write wide");
+    let narrow = e.alloc_and_write(16, &narrow_vals).expect("write narrow");
+    let cw = e.alloc(8, wide_vals.len()).expect("alloc");
+    e.init(&cw, 60).expect("init");
+    let cn = e.alloc(16, narrow_vals.len()).expect("alloc");
+    e.init(&cn, 1_000).expect("init");
+    let (sum_w, add_report) = e.binary(Operation::Add, &wide, &cw).expect("add");
+    let (min_n, min_report) = e.binary(Operation::Min, &narrow, &cn).expect("min");
+    let (abs_w, abs_report) = e.unary(Operation::Abs, &sum_w).expect("abs");
+    let (max_n, max_report) = e.binary(Operation::Max, &min_n, &narrow).expect("max");
+    let serial_w = e.read(&abs_w).expect("read");
+    let serial_n = e.read(&max_n).expect("read");
+    let serialized_dispatches = e.estimate().broadcasts;
 
-    let identical = mimd.0 == serial.0
-        && mimd.1 == serial.1
-        && mimd.4 == serial.4
-        && mimd.2.commands == serial.2.commands
-        && mimd.2.step_reports == serial.2.step_reports;
+    let identical = mimd_w == serial_w
+        && mimd_n == serial_n
+        && m.device_stats() == e.device_stats()
+        && report.step_reports == [add_report, min_report, abs_report, max_report];
     assert!(
         identical,
         "MIMD window results diverged from serialized dispatch"
     );
 
-    let windows_saved = (serial.3 - mimd.3) as f64;
+    let windows_saved = (serialized_dispatches - mimd_dispatches) as f64;
     vec![
         Datapoint::checked(
             SUITE,
             "mixed_window/dispatch_savings".into(),
             vec![
-                ("batches", mimd.5 as f64),
-                ("windows", mimd.6 as f64),
-                ("mimd_dispatches", mimd.3 as f64),
-                ("serialized_dispatches", serial.3 as f64),
+                ("batches", plan.batch_count() as f64),
+                ("windows", plan.window_count() as f64),
+                ("mimd_dispatches", mimd_dispatches as f64),
+                ("serialized_dispatches", serialized_dispatches as f64),
                 ("windows_saved", windows_saved),
-                ("report_windows", mimd.2.windows as f64),
-                ("report_broadcasts", mimd.2.broadcasts as f64),
+                ("report_windows", report.windows as f64),
+                ("report_broadcasts", report.broadcasts as f64),
             ],
-            // The PR 9 baseline issued one dispatch per batch; MIMD windows must save
-            // at least one dispatch on this mixed-width plan.
+            // The serialized schedule issues one dispatch per step; MIMD windows must
+            // save at least one dispatch on this mixed-width plan.
             Expected {
                 metric: "windows_saved",
                 min: 1.0,

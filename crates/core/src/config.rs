@@ -1,5 +1,7 @@
 //! Configuration of a SIMDRAM machine.
 
+use simdram_dram::envopt;
+use simdram_dram::variation::TechnologyNode;
 use simdram_dram::{DramConfig, FaultModel};
 use simdram_uprog::{CodegenOptions, Target};
 
@@ -10,6 +12,9 @@ use crate::timing_backend::TimingBackendKind;
 
 /// Configuration of a [`crate::SimdramMachine`]: the underlying DRAM geometry, how much of
 /// it participates in computation, and which μProgram target/optimizations to use.
+///
+/// This is the one place every runtime axis is set: [`crate::SimdramMachine::new`]
+/// reads it once, and nothing switches an axis afterwards.
 ///
 /// The paper's three SIMDRAM design points — 1, 4 and 16 compute banks — are available as
 /// presets ([`SimdramConfig::paper_banks`]).
@@ -49,13 +54,6 @@ pub struct SimdramConfig {
     /// default; [`GuardMode::Redundant`] detects injected corruption by redundant
     /// re-execution and retries from a snapshot).
     pub guard: GuardMode,
-    /// Whether plan execution groups same-level batches of different lane counts into
-    /// one heterogeneous MIMD dispatch window (`true`, the default) or issues every
-    /// batch as its own dispatch (`false`, the PR 9 serialized schedule). Results,
-    /// per-step reports and [`simdram_dram::stats::DeviceStats`] are bit-identical
-    /// either way — only the dispatch-window count and the fused busy-window
-    /// accounting differ.
-    pub mimd_windows: bool,
 }
 
 impl Default for SimdramConfig {
@@ -71,10 +69,95 @@ impl Default for SimdramConfig {
             timing_backend: TimingBackendKind::default(),
             faults: FaultModel::default(),
             guard: GuardMode::default(),
-            mimd_windows: true,
         }
     }
 }
+
+/// One `SIMDRAM_*` environment override: the variable, its accepted grammar (quoted in
+/// every rejection) and a recognizer that sets the matching [`SimdramConfig`] field from
+/// the trimmed, lowercased value, or returns `None` when the value is outside the
+/// grammar.
+struct EnvOverride {
+    var: &'static str,
+    expected: &'static str,
+    apply: fn(&mut SimdramConfig, &str) -> Option<()>,
+}
+
+/// The five runtime axes CI can force without code changes.
+const ENV_OVERRIDES: [EnvOverride; 5] = [
+    EnvOverride {
+        var: "SIMDRAM_EXEC",
+        expected: "sequential | threaded | threaded:N (N >= 1)",
+        apply: |config, value| {
+            config.execution = match value {
+                "sequential" => ExecutionPolicy::Sequential,
+                "threaded" => ExecutionPolicy::threaded(),
+                _ => ExecutionPolicy::Threaded {
+                    max_threads: value
+                        .strip_prefix("threaded:")?
+                        .parse()
+                        .ok()
+                        .filter(|&n| n >= 1)?,
+                },
+            };
+            Some(())
+        },
+    },
+    EnvOverride {
+        var: "SIMDRAM_FUNC",
+        expected: "interpreted | compiled",
+        apply: |config, value| {
+            config.functional = match value {
+                "interpreted" => FunctionalMode::Interpreted,
+                "compiled" => FunctionalMode::Compiled,
+                _ => return None,
+            };
+            Some(())
+        },
+    },
+    EnvOverride {
+        var: "SIMDRAM_TIMING",
+        expected: "analytic | bankstate",
+        apply: |config, value| {
+            config.timing_backend = match value {
+                "analytic" => TimingBackendKind::Analytic,
+                "bankstate" => TimingBackendKind::BankState,
+                _ => return None,
+            };
+            Some(())
+        },
+    },
+    EnvOverride {
+        var: "SIMDRAM_FAULTS",
+        expected: "off | tra:<22nm|17nm|14nm|10nm|7nm>:<seed> | rowmap:<seed>",
+        apply: |config, value| {
+            config.faults = if value == "off" {
+                FaultModel::Off
+            } else if let Some(seed) = value.strip_prefix("rowmap:") {
+                FaultModel::rowmap(seed.parse().ok()?)
+            } else {
+                let (name, seed) = value.strip_prefix("tra:")?.split_once(':')?;
+                let node = TechnologyNode::ALL.into_iter().find(|n| n.name() == name)?;
+                FaultModel::tra_for_node(node, seed.parse().ok()?)
+            };
+            Some(())
+        },
+    },
+    EnvOverride {
+        var: "SIMDRAM_GUARD",
+        expected: "off | redundant | redundant:<n>",
+        apply: |config, value| {
+            config.guard = match value {
+                "off" => GuardMode::Off,
+                "redundant" => GuardMode::redundant(),
+                _ => GuardMode::Redundant {
+                    max_retries: value.strip_prefix("redundant:")?.parse().ok()?,
+                },
+            };
+            Some(())
+        },
+    },
+];
 
 impl SimdramConfig {
     /// The paper's SIMDRAM:`banks` design point (1, 4 or 16 compute banks, 16 compute
@@ -89,29 +172,32 @@ impl SimdramConfig {
     /// A small configuration for fast functional tests: 2 banks × 2 subarrays of 256
     /// columns.
     ///
-    /// Honors the `SIMDRAM_EXEC`, `SIMDRAM_FUNC`, `SIMDRAM_TIMING`, `SIMDRAM_FAULTS`
-    /// and `SIMDRAM_GUARD` environment overrides (see [`ExecutionPolicy::from_env`],
-    /// [`FunctionalMode::from_env`], [`TimingBackendKind::from_env`],
-    /// [`FaultModel::from_env`] and [`GuardMode::from_env`]), so CI can force every
-    /// functional test through the threaded broadcast engine, the compiled execution
-    /// mode, the bank-state timing backend and/or fault injection without code changes.
+    /// Applies the `SIMDRAM_*` environment overrides
+    /// ([`SimdramConfig::with_env_overrides`]), so CI can force every functional test
+    /// through the threaded broadcast engine, the compiled execution mode, the
+    /// bank-state timing backend and/or fault injection without code changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a set-but-malformed override. The variables exist solely as test/CI
+    /// overrides; silently ignoring a typo would let a CI job believe it exercised an
+    /// engine while re-running the default one.
     pub fn functional_test() -> Self {
         SimdramConfig {
             dram: DramConfig::tiny(),
             compute_banks: 2,
             compute_subarrays_per_bank: 2,
-            target: Target::Simdram,
-            codegen: CodegenOptions::optimized(),
-            execution: ExecutionPolicy::from_env().unwrap_or_default(),
-            functional: FunctionalMode::from_env().unwrap_or_default(),
-            timing_backend: TimingBackendKind::from_env().unwrap_or_default(),
-            faults: FaultModel::from_env().unwrap_or_default(),
-            guard: GuardMode::from_env().unwrap_or_default(),
-            mimd_windows: true,
+            ..SimdramConfig::default()
         }
+        .with_env_overrides_or_panic()
     }
 
     /// Same geometry as [`SimdramConfig::functional_test`] but targeting the Ambit baseline.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a set-but-malformed `SIMDRAM_*` override, like
+    /// [`SimdramConfig::functional_test`].
     pub fn functional_test_ambit() -> Self {
         SimdramConfig {
             target: Target::Ambit,
@@ -121,6 +207,11 @@ impl SimdramConfig {
 
     /// A mid-size configuration for the runnable examples: 4 banks × 4 subarrays of 1,024
     /// columns (16,384 SIMD lanes), small enough to simulate functionally in milliseconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a set-but-malformed `SIMDRAM_*` override, like
+    /// [`SimdramConfig::functional_test`].
     pub fn demo() -> Self {
         let dram = DramConfig::builder()
             .banks(4)
@@ -134,15 +225,9 @@ impl SimdramConfig {
             dram,
             compute_banks: 4,
             compute_subarrays_per_bank: 4,
-            target: Target::Simdram,
-            codegen: CodegenOptions::optimized(),
-            execution: ExecutionPolicy::from_env().unwrap_or_default(),
-            functional: FunctionalMode::from_env().unwrap_or_default(),
-            timing_backend: TimingBackendKind::from_env().unwrap_or_default(),
-            faults: FaultModel::from_env().unwrap_or_default(),
-            guard: GuardMode::from_env().unwrap_or_default(),
-            mimd_windows: true,
+            ..SimdramConfig::default()
         }
+        .with_env_overrides_or_panic()
     }
 
     /// Applies the five `SIMDRAM_*` environment overrides (`SIMDRAM_EXEC`,
@@ -150,10 +235,19 @@ impl SimdramConfig {
     /// configuration, surfacing any malformed value as a typed [`CoreError::Config`]
     /// instead of panicking or silently keeping the default.
     ///
+    /// The accepted values, matched after trimming and ASCII-lowercasing:
+    ///
+    /// | variable | grammar |
+    /// |---|---|
+    /// | `SIMDRAM_EXEC` | `sequential \| threaded \| threaded:N` (N ≥ 1) |
+    /// | `SIMDRAM_FUNC` | `interpreted \| compiled` |
+    /// | `SIMDRAM_TIMING` | `analytic \| bankstate` |
+    /// | `SIMDRAM_FAULTS` | `off \| tra:<22nm\|17nm\|14nm\|10nm\|7nm>:<seed> \| rowmap:<seed>` |
+    /// | `SIMDRAM_GUARD` | `off \| redundant \| redundant:<n>` |
+    ///
     /// This is the recoverable counterpart of what [`SimdramConfig::functional_test`]
-    /// and [`SimdramConfig::demo`] do internally — the entry point for long-running
-    /// hosts (e.g. a serving deployment) that must reject a bad override at startup
-    /// rather than abort.
+    /// and [`SimdramConfig::demo`] do — the entry point for long-running hosts (e.g. a
+    /// serving deployment) that must reject a bad override at startup rather than abort.
     ///
     /// # Errors
     ///
@@ -161,21 +255,35 @@ impl SimdramConfig {
     /// malformed; the error names the variable, the rejected value and the accepted
     /// grammar.
     pub fn with_env_overrides(mut self) -> Result<Self> {
-        if let Some(execution) = ExecutionPolicy::try_from_env()? {
-            self.execution = execution;
+        for row in &ENV_OVERRIDES {
+            envopt::env_override(row.var, row.expected, |value| (row.apply)(&mut self, value))?;
         }
-        if let Some(functional) = FunctionalMode::try_from_env()? {
-            self.functional = functional;
-        }
-        if let Some(timing_backend) = TimingBackendKind::try_from_env()? {
-            self.timing_backend = timing_backend;
-        }
-        if let Some(faults) = FaultModel::try_from_env()? {
-            self.faults = faults;
-        }
-        if let Some(guard) = GuardMode::try_from_env()? {
-            self.guard = guard;
-        }
+        Ok(self)
+    }
+
+    /// [`SimdramConfig::with_env_overrides`] for the test and demo presets, whose one
+    /// failure mode is a malformed override.
+    fn with_env_overrides_or_panic(self) -> Self {
+        self.with_env_overrides()
+            .unwrap_or_else(|err| panic!("{err}"))
+    }
+
+    /// Applies one override value to the axis `var` names: what
+    /// [`SimdramConfig::with_env_overrides`] does with a set variable, minus the
+    /// environment read, so every grammar branch is testable.
+    #[cfg(test)]
+    pub(crate) fn with_override(
+        mut self,
+        var: &str,
+        raw: &str,
+    ) -> std::result::Result<Self, simdram_dram::EnvOverrideError> {
+        let row = ENV_OVERRIDES
+            .iter()
+            .find(|row| row.var == var)
+            .expect("a SIMDRAM_* variable of the override table");
+        envopt::parse(row.var, row.expected, raw, |value| {
+            (row.apply)(&mut self, value)
+        })?;
         Ok(self)
     }
 
@@ -295,6 +403,68 @@ mod tests {
         if unset("SIMDRAM_GUARD") {
             assert_eq!(base.guard, overridden.guard);
         }
+    }
+
+    #[test]
+    fn every_override_row_names_a_distinct_variable() {
+        let mut vars: Vec<&str> = ENV_OVERRIDES.iter().map(|row| row.var).collect();
+        vars.sort_unstable();
+        vars.dedup();
+        assert_eq!(vars.len(), 5);
+        // A rejected value becomes a typed configuration error naming its variable.
+        let err = SimdramConfig::default()
+            .with_override("SIMDRAM_FUNC", "compiled:4")
+            .unwrap_err();
+        let err = CoreError::from(err);
+        assert!(matches!(&err, CoreError::Config(e) if e.var == "SIMDRAM_FUNC"));
+        assert!(err.to_string().contains("SIMDRAM_FUNC"));
+    }
+
+    fn faults(raw: &str) -> std::result::Result<FaultModel, simdram_dram::EnvOverrideError> {
+        SimdramConfig::default()
+            .with_override("SIMDRAM_FAULTS", raw)
+            .map(|c| c.faults)
+    }
+
+    #[test]
+    fn faults_override_parsing() {
+        assert!(faults("off").unwrap().is_off());
+        assert!(faults(" OFF ").unwrap().is_off());
+        match faults("tra:7nm:42").unwrap() {
+            FaultModel::Tra {
+                probability,
+                seed,
+                node,
+            } => {
+                assert_eq!(seed, 42);
+                assert_eq!(node, Some(TechnologyNode::Nm7));
+                assert!((0.0..=1.0).contains(&probability));
+            }
+            other => panic!("expected Tra, got {other:?}"),
+        }
+        assert_eq!(faults("rowmap:9"), Ok(FaultModel::RowMap { seed: 9 }));
+    }
+
+    #[test]
+    fn faults_override_rejects_typos_with_a_typed_error() {
+        let err = faults("tra").unwrap_err();
+        assert_eq!(err.var, "SIMDRAM_FAULTS");
+        assert_eq!(err.value, "tra");
+        assert!(err.expected.contains("tra:<"));
+    }
+
+    #[test]
+    fn faults_override_rejects_unknown_node_with_a_typed_error() {
+        let err = faults("tra:5nm:1").unwrap_err();
+        assert_eq!(err.value, "tra:5nm:1");
+        assert!(err.to_string().contains("SIMDRAM_FAULTS"));
+    }
+
+    #[test]
+    fn faults_override_rejects_bad_seed_with_a_typed_error() {
+        assert!(faults("rowmap:abc").is_err());
+        assert!(faults("tra:7nm:-3").is_err());
+        assert!(faults("tra:7nm:").is_err());
     }
 
     #[test]

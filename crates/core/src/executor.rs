@@ -24,19 +24,9 @@
 
 use std::num::NonZeroUsize;
 
-use simdram_dram::envopt::{self, EnvOverrideError};
 use simdram_dram::{CommandTrace, DramDevice, Subarray};
 
 use crate::error::{CoreError, Result};
-
-/// Environment variable carrying the broadcast-policy override.
-const EXEC_VAR: &str = "SIMDRAM_EXEC";
-/// Accepted `SIMDRAM_EXEC` grammar, quoted in every rejection error.
-const EXEC_EXPECTED: &str = "sequential | threaded | threaded:N (N >= 1)";
-/// Environment variable carrying the functional-mode override.
-const FUNC_VAR: &str = "SIMDRAM_FUNC";
-/// Accepted `SIMDRAM_FUNC` grammar, quoted in every rejection error.
-const FUNC_EXPECTED: &str = "interpreted | compiled | compiled:N (N >= 1)";
 
 /// How a [`BroadcastExecutor`] drives the subarrays participating in a broadcast.
 ///
@@ -86,67 +76,12 @@ impl ExecutionPolicy {
         }
     }
 
-    /// Reads the `SIMDRAM_EXEC` environment override, surfacing malformed values as a
-    /// typed [`EnvOverrideError`] instead of panicking or silently falling back.
-    /// Returns `Ok(None)` only when the variable is unset.
-    ///
-    /// Recognized (case-insensitive) values: `sequential`, `threaded`, and `threaded:N`
-    /// for an explicit thread cap (N ≥ 1). This is how CI forces the whole tier-1 suite
-    /// through the threaded engine without code changes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnvOverrideError`] when the variable is set but unrecognized
-    /// (including `threaded:0`).
-    pub fn try_from_env() -> std::result::Result<Option<Self>, EnvOverrideError> {
-        envopt::env_override(EXEC_VAR, EXEC_EXPECTED, Self::recognize)
-    }
-
-    /// Reads the `SIMDRAM_EXEC` environment override. Returns `None` only when the
-    /// variable is unset, letting the caller fall back to its configured default.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a set-but-unrecognized value (including `threaded:0`). The variable
-    /// exists solely as a test/CI override; silently ignoring a typo would let a CI job
-    /// believe it exercised the threaded engine while re-running the sequential path.
-    /// Callers that want a recoverable failure use [`ExecutionPolicy::try_from_env`].
-    pub fn from_env() -> Option<Self> {
-        Self::try_from_env().unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Parses one `SIMDRAM_EXEC` override value with the shared normalization rules.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnvOverrideError`] on anything [`ExecutionPolicy::try_from_env`] would
-    /// reject.
-    pub fn parse_override(raw: &str) -> std::result::Result<Self, EnvOverrideError> {
-        envopt::parse_override(EXEC_VAR, EXEC_EXPECTED, raw, Self::recognize)
-    }
-
-    /// The pure grammar recognizer behind [`ExecutionPolicy::parse_override`]: `value`
-    /// is already trimmed and lowercased; `None` means "not in the grammar".
-    fn recognize(value: &str) -> Option<Self> {
-        if value == "sequential" {
-            Some(ExecutionPolicy::Sequential)
-        } else if value == "threaded" {
-            Some(ExecutionPolicy::threaded())
-        } else if let Some(n) = value.strip_prefix("threaded:") {
-            let max_threads = n.parse().ok().filter(|&n| n >= 1)?;
-            Some(ExecutionPolicy::Threaded { max_threads })
-        } else {
-            None
-        }
-    }
-
     /// Returns `true` for the threaded variant.
     pub fn is_threaded(&self) -> bool {
         matches!(self, ExecutionPolicy::Threaded { .. })
     }
 
-    /// Checks the policy's invariants (shared by [`crate::SimdramConfig::validate`] and
-    /// [`crate::SimdramMachine::set_execution_policy`]).
+    /// Checks the policy's invariants (called by [`crate::SimdramConfig::validate`]).
     ///
     /// # Errors
     ///
@@ -168,8 +103,11 @@ impl ExecutionPolicy {
 /// time, while the compiled path runs the μProgram's cached
 /// [`simdram_uprog::CompiledProgram`] kernel — pre-resolved rows, word-level operations,
 /// one aggregate trace charge per run. The two modes are bit-identical in every simulated
-/// outcome (results, [`simdram_dram::stats::DeviceStats`], [`crate::MachineEstimate`]);
-/// only per-command *history* differs, governed by `trace_every`.
+/// outcome (results, [`simdram_dram::stats::DeviceStats`], [`crate::MachineEstimate`]).
+/// Only per-command *history* differs: the interpreter always records it, while a
+/// compiled run records it exactly when the machine replays bank state
+/// ([`crate::TimingBackendKind::BankState`]), the one consumer that classifies
+/// individual commands.
 ///
 /// # Examples
 ///
@@ -178,7 +116,7 @@ impl ExecutionPolicy {
 /// use simdram_logic::Operation;
 ///
 /// let mut config = SimdramConfig::functional_test();
-/// config.functional = FunctionalMode::compiled();
+/// config.functional = FunctionalMode::Compiled;
 /// let mut machine = SimdramMachine::new(config)?;
 /// let a = machine.alloc_and_write(8, &[1, 2, 3])?;
 /// let b = machine.alloc_and_write(8, &[10, 20, 30])?;
@@ -193,91 +131,13 @@ pub enum FunctionalMode {
     #[default]
     Interpreted,
     /// Run the compiled word-level kernel per chunk.
-    Compiled {
-        /// Per-command history sampling: retain full history for one in every
-        /// `trace_every` chunks (chunk indices divisible by `trace_every`), aggregate-only
-        /// for the rest. `0` disables history entirely — the fastest setting and the
-        /// [`FunctionalMode::compiled`] default. Aggregate accounting (counts,
-        /// latency/energy totals) is always charged regardless.
-        trace_every: usize,
-    },
+    Compiled,
 }
 
 impl FunctionalMode {
-    /// The compiled mode at its fastest setting: no per-command history retained.
-    pub fn compiled() -> Self {
-        FunctionalMode::Compiled { trace_every: 0 }
-    }
-
-    /// Reads the `SIMDRAM_FUNC` environment override, surfacing malformed values as a
-    /// typed [`EnvOverrideError`] instead of panicking or silently falling back.
-    /// Returns `Ok(None)` only when the variable is unset.
-    ///
-    /// Recognized (case-insensitive) values: `interpreted`, `compiled`, and `compiled:N`
-    /// to retain per-command history for one in every N chunks (N ≥ 1). This is how CI
-    /// forces the whole tier-1 suite through the compiled engine without code changes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnvOverrideError`] when the variable is set but unrecognized
-    /// (including `compiled:0` — plain `compiled` already means "no history").
-    pub fn try_from_env() -> std::result::Result<Option<Self>, EnvOverrideError> {
-        envopt::env_override(FUNC_VAR, FUNC_EXPECTED, Self::recognize)
-    }
-
-    /// Reads the `SIMDRAM_FUNC` environment override. Returns `None` only when the
-    /// variable is unset, letting the caller fall back to its configured default.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a set-but-unrecognized value. The variable exists solely as a test/CI
-    /// override; silently ignoring a typo would let a CI job believe it exercised the
-    /// compiled engine while re-running the interpreter. Callers that want a
-    /// recoverable failure use [`FunctionalMode::try_from_env`].
-    pub fn from_env() -> Option<Self> {
-        Self::try_from_env().unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Parses one `SIMDRAM_FUNC` override value with the shared normalization rules.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnvOverrideError`] on anything [`FunctionalMode::try_from_env`] would
-    /// reject.
-    pub fn parse_override(raw: &str) -> std::result::Result<Self, EnvOverrideError> {
-        envopt::parse_override(FUNC_VAR, FUNC_EXPECTED, raw, Self::recognize)
-    }
-
-    /// The pure grammar recognizer behind [`FunctionalMode::parse_override`]: `value`
-    /// is already trimmed and lowercased; `None` means "not in the grammar".
-    fn recognize(value: &str) -> Option<Self> {
-        if value == "interpreted" {
-            Some(FunctionalMode::Interpreted)
-        } else if value == "compiled" {
-            Some(FunctionalMode::compiled())
-        } else if let Some(n) = value.strip_prefix("compiled:") {
-            let trace_every = n.parse().ok().filter(|&n| n >= 1)?;
-            Some(FunctionalMode::Compiled { trace_every })
-        } else {
-            None
-        }
-    }
-
     /// Returns `true` for the compiled variant.
     pub fn is_compiled(&self) -> bool {
-        matches!(self, FunctionalMode::Compiled { .. })
-    }
-
-    /// Whether the broadcast chunk at `chunk` index retains per-command history under
-    /// this mode. Chunk indices are assigned in coordinate order independent of the
-    /// [`ExecutionPolicy`], so the sampling decision — like everything else — is
-    /// deterministic across sequential and threaded runs.
-    pub fn trace_with_history(&self, chunk: usize) -> bool {
-        match *self {
-            FunctionalMode::Interpreted => true,
-            FunctionalMode::Compiled { trace_every: 0 } => false,
-            FunctionalMode::Compiled { trace_every } => chunk % trace_every == 0,
-        }
+        matches!(self, FunctionalMode::Compiled)
     }
 }
 
@@ -463,7 +323,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simdram_dram::{BitRow, DramConfig, RowAddr};
+    use crate::SimdramConfig;
+    use simdram_dram::{BitRow, DramConfig, EnvOverrideError, RowAddr};
 
     fn device() -> DramDevice {
         DramDevice::new(DramConfig::tiny()).unwrap()
@@ -546,24 +407,22 @@ mod tests {
         assert!(matches!(err, CoreError::Dram(_)));
     }
 
+    /// `SimdramConfig::with_env_overrides` minus the env read, for one `SIMDRAM_*` value.
+    fn overridden(var: &str, raw: &str) -> std::result::Result<SimdramConfig, EnvOverrideError> {
+        SimdramConfig::default().with_override(var, raw)
+    }
+
     #[test]
     fn env_override_parsing() {
-        // parse_override is from_env minus the env read, so every branch is testable
-        // without touching the process environment; the env-sensitive plumbing itself is
-        // covered by CI running the whole suite under SIMDRAM_EXEC=threaded.
+        // Every branch of the SIMDRAM_EXEC grammar is testable without touching the
+        // process environment; the env-sensitive plumbing itself is covered by CI
+        // running the whole suite under SIMDRAM_EXEC=threaded.
+        let exec = |raw| overridden("SIMDRAM_EXEC", raw).map(|c| c.execution);
+        assert_eq!(exec("sequential"), Ok(ExecutionPolicy::Sequential));
+        assert_eq!(exec(" Sequential "), Ok(ExecutionPolicy::Sequential));
+        assert!(exec("threaded").unwrap().is_threaded());
         assert_eq!(
-            ExecutionPolicy::parse_override("sequential"),
-            Ok(ExecutionPolicy::Sequential)
-        );
-        assert_eq!(
-            ExecutionPolicy::parse_override(" Sequential "),
-            Ok(ExecutionPolicy::Sequential)
-        );
-        assert!(ExecutionPolicy::parse_override("threaded")
-            .unwrap()
-            .is_threaded());
-        assert_eq!(
-            ExecutionPolicy::parse_override("threaded:4"),
+            exec("threaded:4"),
             Ok(ExecutionPolicy::Threaded { max_threads: 4 })
         );
         assert!(ExecutionPolicy::threaded().is_threaded());
@@ -575,7 +434,7 @@ mod tests {
 
     #[test]
     fn env_override_rejects_typos_with_a_typed_error() {
-        let err = ExecutionPolicy::parse_override("thread").unwrap_err();
+        let err = overridden("SIMDRAM_EXEC", "thread").unwrap_err();
         assert_eq!(err.var, "SIMDRAM_EXEC");
         assert_eq!(err.value, "thread");
         assert!(err.to_string().contains("sequential | threaded"));
@@ -583,45 +442,23 @@ mod tests {
 
     #[test]
     fn env_override_rejects_zero_thread_cap_with_a_typed_error() {
-        let err = ExecutionPolicy::parse_override("threaded:0").unwrap_err();
+        let err = overridden("SIMDRAM_EXEC", "threaded:0").unwrap_err();
         assert_eq!(err.var, "SIMDRAM_EXEC");
-        assert!(ExecutionPolicy::parse_override("threaded:x").is_err());
+        assert!(overridden("SIMDRAM_EXEC", "threaded:x").is_err());
     }
 
     #[test]
     fn functional_mode_override_parsing() {
-        assert_eq!(
-            FunctionalMode::parse_override("interpreted"),
-            Ok(FunctionalMode::Interpreted)
-        );
-        assert_eq!(
-            FunctionalMode::parse_override(" Compiled "),
-            Ok(FunctionalMode::compiled())
-        );
-        assert_eq!(
-            FunctionalMode::parse_override("compiled:16"),
-            Ok(FunctionalMode::Compiled { trace_every: 16 })
-        );
-        assert!(FunctionalMode::compiled().is_compiled());
+        let func = |raw| overridden("SIMDRAM_FUNC", raw).map(|c| c.functional);
+        assert_eq!(func("interpreted"), Ok(FunctionalMode::Interpreted));
+        assert_eq!(func(" Compiled "), Ok(FunctionalMode::Compiled));
+        assert!(FunctionalMode::Compiled.is_compiled());
         assert!(!FunctionalMode::Interpreted.is_compiled());
     }
 
     #[test]
-    fn functional_mode_history_sampling_is_per_chunk() {
-        // Interpreted always keeps history; compiled-without-sampling never does;
-        // compiled:N keeps it for every Nth chunk starting at 0.
-        for chunk in 0..8 {
-            assert!(FunctionalMode::Interpreted.trace_with_history(chunk));
-            assert!(!FunctionalMode::compiled().trace_with_history(chunk));
-        }
-        let sampled = FunctionalMode::Compiled { trace_every: 3 };
-        let kept: Vec<usize> = (0..9).filter(|&c| sampled.trace_with_history(c)).collect();
-        assert_eq!(kept, vec![0, 3, 6]);
-    }
-
-    #[test]
     fn functional_mode_override_rejects_typos_with_a_typed_error() {
-        let err = FunctionalMode::parse_override("compile").unwrap_err();
+        let err = overridden("SIMDRAM_FUNC", "compile").unwrap_err();
         assert_eq!(err.var, "SIMDRAM_FUNC");
         assert_eq!(err.value, "compile");
         assert!(err.to_string().contains("interpreted | compiled"));
@@ -629,8 +466,11 @@ mod tests {
 
     #[test]
     fn functional_mode_override_rejects_zero_period_with_a_typed_error() {
-        let err = FunctionalMode::parse_override("compiled:0").unwrap_err();
-        assert_eq!(err.var, "SIMDRAM_FUNC");
-        assert!(FunctionalMode::parse_override("compiled:").is_err());
+        // `compiled` takes no argument: every `compiled:N` is outside the grammar.
+        for raw in ["compiled:0", "compiled:", "compiled:4"] {
+            let err = overridden("SIMDRAM_FUNC", raw).unwrap_err();
+            assert_eq!(err.var, "SIMDRAM_FUNC");
+            assert_eq!(err.value, raw);
+        }
     }
 }

@@ -15,13 +15,6 @@
 
 use std::fmt;
 
-use simdram_dram::envopt::{self, EnvOverrideError};
-
-/// Environment variable carrying the guard-mode override.
-const GUARD_VAR: &str = "SIMDRAM_GUARD";
-/// Accepted `SIMDRAM_GUARD` grammar, quoted in every rejection error.
-const GUARD_EXPECTED: &str = "off | redundant | redundant:<n>";
-
 /// Modeled latency charged per retry of a guarded chunk, in nanoseconds: the memory
 /// controller detects the mismatch, re-issues the batch and waits out a conservative
 /// re-dispatch window. Folded into the dispatch latency of the broadcast the retry
@@ -60,57 +53,6 @@ impl GuardMode {
     /// Returns `true` when guarding is disabled.
     pub fn is_off(&self) -> bool {
         matches!(self, GuardMode::Off)
-    }
-
-    /// Reads the `SIMDRAM_GUARD` environment override, surfacing malformed values as a
-    /// typed [`EnvOverrideError`] instead of panicking or silently falling back.
-    /// Returns `Ok(None)` only when the variable is unset.
-    ///
-    /// Recognized values: `off`, `redundant` (default retry budget) and
-    /// `redundant:<n>` (explicit retry budget).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnvOverrideError`] when the variable is set but unrecognized.
-    pub fn try_from_env() -> Result<Option<Self>, EnvOverrideError> {
-        envopt::env_override(GUARD_VAR, GUARD_EXPECTED, Self::recognize)
-    }
-
-    /// Reads the `SIMDRAM_GUARD` environment override, if set.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value — an override that silently fell back to the
-    /// default would invalidate the run it was meant to configure. Callers that want a
-    /// recoverable failure use [`GuardMode::try_from_env`].
-    pub fn from_env() -> Option<Self> {
-        Self::try_from_env().unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Parses one `SIMDRAM_GUARD` override value with the shared normalization rules.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnvOverrideError`] on anything [`GuardMode::try_from_env`] would
-    /// reject.
-    pub fn parse_override(raw: &str) -> Result<Self, EnvOverrideError> {
-        envopt::parse_override(GUARD_VAR, GUARD_EXPECTED, raw, Self::recognize)
-    }
-
-    /// The pure grammar recognizer behind [`GuardMode::parse_override`]: `value` is
-    /// already trimmed and lowercased; `None` means "not in the grammar".
-    fn recognize(value: &str) -> Option<Self> {
-        if value == "off" {
-            return Some(GuardMode::Off);
-        }
-        if value == "redundant" {
-            return Some(GuardMode::redundant());
-        }
-        if let Some(n) = value.strip_prefix("redundant:") {
-            let max_retries = n.parse().ok()?;
-            return Some(GuardMode::Redundant { max_retries });
-        }
-        None
     }
 }
 
@@ -195,29 +137,35 @@ mod tests {
         assert!(!GuardMode::redundant().is_off());
     }
 
+    fn guard(raw: &str) -> Result<GuardMode, simdram_dram::EnvOverrideError> {
+        crate::SimdramConfig::default()
+            .with_override("SIMDRAM_GUARD", raw)
+            .map(|c| c.guard)
+    }
+
     #[test]
     fn parses_overrides() {
-        assert_eq!(GuardMode::parse_override("off"), Ok(GuardMode::Off));
-        assert_eq!(GuardMode::parse_override(" OFF "), Ok(GuardMode::Off));
+        assert_eq!(guard("off"), Ok(GuardMode::Off));
+        assert_eq!(guard(" OFF "), Ok(GuardMode::Off));
         assert_eq!(
-            GuardMode::parse_override("redundant"),
+            guard("redundant"),
             Ok(GuardMode::Redundant {
                 max_retries: DEFAULT_MAX_RETRIES
             })
         );
         assert_eq!(
-            GuardMode::parse_override("Redundant:7"),
+            guard("Redundant:7"),
             Ok(GuardMode::Redundant { max_retries: 7 })
         );
         assert_eq!(
-            GuardMode::parse_override("redundant:0"),
+            guard("redundant:0"),
             Ok(GuardMode::Redundant { max_retries: 0 })
         );
     }
 
     #[test]
     fn rejects_unknown_override_with_a_typed_error() {
-        let err = GuardMode::parse_override("triple").unwrap_err();
+        let err = guard("triple").unwrap_err();
         assert_eq!(err.var, "SIMDRAM_GUARD");
         assert_eq!(err.value, "triple");
         assert!(err.to_string().contains("off | redundant"));
@@ -225,9 +173,9 @@ mod tests {
 
     #[test]
     fn rejects_bad_retry_budget_with_a_typed_error() {
-        let err = GuardMode::parse_override("redundant:many").unwrap_err();
+        let err = guard("redundant:many").unwrap_err();
         assert_eq!(err.var, "SIMDRAM_GUARD");
-        assert!(GuardMode::parse_override("redundant:-1").is_err());
+        assert!(guard("redundant:-1").is_err());
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * [`FunctionalMode`] — what each chunk runs: the per-μOp interpreter, or the compiled
 //!   word-level kernel cached per μProgram ([`simdram_uprog::CompiledProgram`]) — again
 //!   bit-identical in results and aggregate accounting, several times faster to simulate.
-//! * [`TimingBackend`]/[`TimingBackendKind`] — which estimation engine folds the executed
-//!   command traces: the analytic [`TraceEstimator`], or the bank-state replay
+//! * [`TimingBackendKind`] — which estimation engine folds the executed command traces:
+//!   the analytic [`TraceEstimator`] alone, or with the bank-state replay
 //!   ([`simdram_dram::BankStateModel`]) that models row-buffer state, ACTIVATE
 //!   serialization and refresh interference alongside the unchanged analytic numbers.
 //! * [`transpose_64x64`] — horizontal ↔ vertical layout conversion, both functional and as
@@ -80,7 +80,7 @@ pub use perf::{ddr4, pud_performance, PerfPoint};
 pub use plan::{Expr, Plan, PlanBuilder, PlanExecution, PlanOutput, Session};
 pub use report::{ExecutionReport, MachineStats, PlanReport};
 pub use simdram_dram::{EnvOverrideError, FaultModel};
-pub use timing_backend::{BankStateBackend, TimingBackend, TimingBackendKind};
+pub use timing_backend::TimingBackendKind;
 pub use topology::{
     DeviceHealth, FleetEstimate, LinkModel, MovementTotals, ShardMap, ShardPolicy, ShardedMachine,
     ShardedVector,

@@ -4,7 +4,10 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use simdram_dram::stats::DeviceStats;
-use simdram_dram::{BGroupRow, BitRow, CommandCosts, CommandTrace, DramDevice, RowAddr, Subarray};
+use simdram_dram::{
+    BGroupRow, BankStateModel, BankTiming, BitRow, CommandCosts, CommandTrace, DramDevice, RowAddr,
+    Subarray,
+};
 use simdram_logic::Operation;
 use simdram_uprog::{
     execute as execute_uprog, CompiledProgram, DispatchEntry, MicroProgram, RowBinding,
@@ -14,13 +17,13 @@ use crate::config::SimdramConfig;
 use crate::control_unit::ControlUnit;
 use crate::error::{CoreError, Result};
 use crate::estimate::{BroadcastEstimate, MachineEstimate, TraceEstimator};
-use crate::executor::{BroadcastExecutor, ExecutionPolicy, FunctionalMode};
+use crate::executor::{BroadcastExecutor, ExecutionPolicy};
 use crate::guard::{FaultError, FaultLog, GuardMode, RETRY_BACKOFF_NS};
 use crate::isa::BbopInstruction;
 use crate::layout::{RowAllocator, SimdVector};
 use crate::plan::{Plan, PlanBuilder, PlanExecution, Storage};
 use crate::report::{ExecutionReport, MachineStats, PlanReport};
-use crate::timing_backend::{TimingBackend, TimingBackendKind};
+use crate::timing_backend::TimingBackendKind;
 use crate::transpose::{horizontal_to_vertical, vertical_to_horizontal, TranspositionUnit};
 
 /// One resolved step of a fused broadcast batch (see [`SimdramMachine::run_plan`]).
@@ -38,7 +41,7 @@ enum RunStep {
         width: usize,
     },
     /// One μProgram execution under a concrete row binding. When the machine runs in
-    /// [`FunctionalMode::Compiled`], `compiled` carries the cached word-level kernel and
+    /// [`crate::FunctionalMode::Compiled`], `compiled` carries the cached word-level kernel and
     /// the interpreter is bypassed entirely.
     Exec {
         program: MicroProgram,
@@ -53,9 +56,9 @@ enum RunStep {
 /// by [`SimdramMachine::run_plan`] and [`SimdramMachine::run_plans_on`]).
 ///
 /// `with_history` governs per-command history retention of the *compiled* μProgram steps
-/// (see [`FunctionalMode::trace_with_history`]); interpreted steps always record full
-/// history. Either way the history is drained before returning — only the local traces
-/// (whose aggregates are bit-identical between modes) leave the kernel.
+/// (kept exactly when the machine replays bank state); interpreted steps always record
+/// full history. Either way the history is drained before returning — only the local
+/// traces (whose aggregates are bit-identical between modes) leave the kernel.
 ///
 /// Alongside the per-step traces, returns the number of fault-model bit flips injected
 /// during each step (always 0 with [`simdram_dram::FaultModel::Off`]), so per-step
@@ -269,12 +272,12 @@ pub struct SimdramMachine {
     /// subarrays and the μProgram compiler both charge from, keeping compiled execution
     /// bit-identical to interpreted accounting.
     costs: CommandCosts,
+    /// The analytic estimator every broadcast's traces are folded through into the
+    /// cumulative [`MachineEstimate`], whatever the timing backend.
     estimator: TraceEstimator,
-    /// The selected timing backend ([`SimdramConfig::timing_backend`]): every broadcast's
-    /// traces are folded through it into the cumulative [`MachineEstimate`]. The analytic
-    /// numbers it produces are bit-identical across backends; the bank-state backend
-    /// additionally attaches its replay to each estimate.
-    backend: Box<dyn TimingBackend>,
+    /// The bank-state replay, present exactly under [`TimingBackendKind::BankState`]: it
+    /// attaches its replay to each estimate alongside the unchanged analytic numbers.
+    bank_state: Option<BankStateModel>,
     stats: MachineStats,
     functional_stats: DeviceStats,
     machine_estimate: MachineEstimate,
@@ -310,9 +313,10 @@ impl SimdramMachine {
         let executor = BroadcastExecutor::new(config.execution);
         let costs = CommandCosts::new(&config.dram);
         let estimator = TraceEstimator::new(config.dram.timing.clone(), config.dram.energy.clone());
-        let backend = config
+        let bank_state = config
             .timing_backend
-            .build(config.dram.timing.clone(), config.dram.energy.clone());
+            .is_bank_state()
+            .then(|| BankStateModel::new(config.dram.timing.clone(), BankTiming::default()));
         let chunk_allocator =
             RowAllocator::new(config.compute_banks * config.compute_subarrays_per_bank);
         Ok(SimdramMachine {
@@ -324,7 +328,7 @@ impl SimdramMachine {
             executor,
             costs,
             estimator,
-            backend,
+            bank_state,
             stats: MachineStats::default(),
             functional_stats: DeviceStats::new(),
             machine_estimate: MachineEstimate::new(),
@@ -388,46 +392,9 @@ impl SimdramMachine {
         self.executor.policy()
     }
 
-    /// Switches the broadcast execution policy at runtime (results are unaffected; only
-    /// simulation wall-clock changes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Shape`] for a threaded policy with `max_threads == 0`.
-    pub fn set_execution_policy(&mut self, policy: ExecutionPolicy) -> Result<()> {
-        policy.validate()?;
-        self.config.execution = policy;
-        self.executor = BroadcastExecutor::new(policy);
-        Ok(())
-    }
-
-    /// The active functional-execution mode (interpreted vs compiled).
-    pub fn functional_mode(&self) -> FunctionalMode {
-        self.config.functional
-    }
-
     /// The active timing backend (analytic vs bank-state).
     pub fn timing_backend(&self) -> TimingBackendKind {
         self.config.timing_backend
-    }
-
-    /// Switches the timing backend at runtime. Functional results and the analytic
-    /// accounting are unaffected — only whether subsequent broadcasts carry a
-    /// bank-state replay (and retain the per-command history it classifies) changes.
-    pub fn set_timing_backend(&mut self, kind: TimingBackendKind) {
-        self.config.timing_backend = kind;
-        self.backend = kind.build(
-            self.config.dram.timing.clone(),
-            self.config.dram.energy.clone(),
-        );
-    }
-
-    /// Switches the functional-execution mode at runtime. Like
-    /// [`SimdramMachine::set_execution_policy`], results and aggregate accounting are
-    /// unaffected; only simulation wall-clock and per-command history retention change.
-    /// Kernels already compiled stay cached.
-    pub fn set_functional_mode(&mut self, mode: FunctionalMode) {
-        self.config.functional = mode;
     }
 
     /// Number of SIMD lanes (elements processed per μProgram broadcast).
@@ -1052,19 +1019,14 @@ impl SimdramMachine {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Shape`] when any plan needs more than one dispatch window
-    /// under the current [`crate::SimdramConfig::mimd_windows`] setting, plus every
-    /// [`SimdramMachine::run_plans_on`] error.
+    /// Returns [`CoreError::Shape`] when any plan needs more than one dispatch window,
+    /// plus every [`SimdramMachine::run_plans_on`] error.
     pub fn run_mimd_window(
         &mut self,
         jobs: &[(&Plan, &Reservation)],
     ) -> Result<Vec<PlanExecution>> {
         for &(plan, _) in jobs {
-            let windows = if self.config.mimd_windows {
-                plan.window_count()
-            } else {
-                plan.batch_count()
-            };
+            let windows = plan.window_count();
             if windows > 1 {
                 return Err(CoreError::Shape(format!(
                     "run_mimd_window issues exactly one dispatch, but a plan needs \
@@ -1211,9 +1173,9 @@ impl SimdramMachine {
     /// union of the jobs' chunk placements, each chunk executing its owning job's
     /// co-issued batch segments back-to-back — folding the per-step traces into the
     /// machine's accounting exactly like back-to-back execution would have (traces are
-    /// merged in deterministic `(job, batch, step, chunk)` order, so results and
-    /// per-plan reports are bit-identical with [`crate::SimdramConfig::mimd_windows`]
-    /// on or off).
+    /// merged in deterministic `(job, batch, step, chunk)` order, so results, per-step
+    /// reports and [`DeviceStats`] are bit-identical to issuing the same steps as eager
+    /// calls in batch order).
     fn execute_plan_batches(
         &mut self,
         jobs: &[(&Plan, usize, usize)],
@@ -1253,17 +1215,9 @@ impl SimdramMachine {
             })
             .collect();
 
-        let mimd = self.config.mimd_windows;
-        let windows_of = |plan: &Plan| {
-            if mimd {
-                plan.window_count()
-            } else {
-                plan.batch_count()
-            }
-        };
         let max_windows = jobs
             .iter()
-            .map(|&(plan, _, _)| windows_of(plan))
+            .map(|&(plan, _, _)| plan.window_count())
             .max()
             .unwrap_or(0);
         for depth in 0..max_windows {
@@ -1281,15 +1235,11 @@ impl SimdramMachine {
             let mut owner_of_position: Vec<usize> = Vec::new();
             let mut entries: Vec<DispatchEntry> = Vec::new();
             for (job_index, &(plan, offset, _)) in jobs.iter().enumerate() {
-                if depth >= windows_of(plan) {
+                if depth >= plan.window_count() {
                     continue;
                 }
                 let node_vectors = &job_vectors[job_index];
-                let batch_range = if mimd {
-                    plan.windows()[depth].clone()
-                } else {
-                    depth..depth + 1
-                };
+                let batch_range = plan.windows()[depth].clone();
                 let mut segments: Vec<(Vec<RunStep>, usize)> = Vec::new();
                 let mut programs: Vec<(Operation, usize)> = Vec::new();
                 for batch in &plan.batches()[batch_range] {
@@ -1376,13 +1326,9 @@ impl SimdramMachine {
             // Placements are disjoint, so the disjoint-borrow API hands every chunk
             // kernel its own subarray.
             let dispatch_chunks = coords.len();
-            // History sampling keys off the dispatch position, which is assigned in
-            // deterministic (job, chunk) order independent of the execution policy.
-            let mode = self.config.functional;
-            // The bank-state backend classifies individual commands, so it asks for
-            // per-command history even when the compiled mode would sample it away
-            // (aggregate accounting is bit-identical either way).
-            let force_history = self.backend.wants_history();
+            // Compiled steps keep per-command history exactly when the bank-state
+            // replay will classify it (aggregate accounting is bit-identical either way).
+            let with_history = self.bank_state.is_some();
             let guard = self.config.guard;
             let per_bank = self.config.compute_subarrays_per_bank;
             let coords_ref = &coords;
@@ -1403,7 +1349,7 @@ impl SimdramMachine {
                         outputs.push(run_steps_guarded(
                             steps,
                             sa,
-                            force_history || mode.trace_with_history(position),
+                            with_history,
                             guard,
                             bank * per_bank + subarray,
                             (bank, subarray),
@@ -1430,7 +1376,7 @@ impl SimdramMachine {
             // into one stream per chunk (the order the subarray really issued them) and
             // replay the whole fused window. Skipped entirely under the analytic
             // backend.
-            let fused_bank_state = if self.backend.kind().is_bank_state() {
+            let fused_bank_state = self.bank_state.as_ref().map(|model| {
                 let merged: Vec<CommandTrace> = chunk_results
                     .iter()
                     .map(|segments| {
@@ -1443,10 +1389,8 @@ impl SimdramMachine {
                         whole
                     })
                     .collect();
-                self.backend.broadcast(&merged).bank_state
-            } else {
-                None
-            };
+                model.replay(&merged)
+            });
 
             let mut dispatch_latency = 0.0f64;
             let mut dispatch_commands = 0usize;
@@ -1514,7 +1458,7 @@ impl SimdramMachine {
                                 report.commands += width;
                             }
                             RunStep::Exec { program, node, .. } => {
-                                let measured = self.backend.broadcast(traces);
+                                let measured = self.estimate_broadcast(traces);
                                 let elements = plan.node(*node).len();
                                 let timing = &self.config.dram.timing;
                                 let energy_model = &self.config.dram.energy;
@@ -1602,12 +1546,20 @@ impl SimdramMachine {
     /// (the executor already returns them ordered), keeping even floating-point sums
     /// identical between execution policies, and folds the broadcast through the
     /// estimation engine into the cumulative [`MachineEstimate`].
-    fn absorb_chunk_traces(&mut self, traces: &[CommandTrace]) -> BroadcastEstimate {
+    fn absorb_chunk_traces(&mut self, traces: &[CommandTrace]) {
         for trace in traces {
             self.functional_stats.absorb_trace(trace);
         }
-        let estimate = self.backend.broadcast(traces);
+        let estimate = self.estimate_broadcast(traces);
         self.machine_estimate.record(&estimate);
+    }
+
+    /// Folds one broadcast's per-chunk traces into an estimate: the analytic numbers,
+    /// plus the bank-state replay of the same traces under
+    /// [`TimingBackendKind::BankState`].
+    fn estimate_broadcast(&self, traces: &[CommandTrace]) -> BroadcastEstimate {
+        let mut estimate = self.estimator.broadcast(traces);
+        estimate.bank_state = self.bank_state.as_ref().map(|model| model.replay(traces));
         estimate
     }
 
@@ -1931,20 +1883,6 @@ mod tests {
     }
 
     #[test]
-    fn execution_policy_can_be_switched_at_runtime() {
-        let mut m = machine();
-        let values: Vec<u64> = (0..300u64).map(|i| i & 0xFF).collect();
-        let v = m.alloc_and_write(8, &values).unwrap();
-        m.set_execution_policy(ExecutionPolicy::Threaded { max_threads: 3 })
-            .unwrap();
-        assert_eq!(m.read(&v).unwrap(), values);
-        assert!(matches!(
-            m.set_execution_policy(ExecutionPolicy::Threaded { max_threads: 0 }),
-            Err(CoreError::Shape(_))
-        ));
-    }
-
-    #[test]
     fn compiled_plan_matches_eager_execution_with_fewer_broadcasts() {
         // knn-style distance: d = |x - q| + |x - r| with q, r constants.
         let x_vals: Vec<u64> = (0..300u64).map(|i| (i * 37 + 11) & 0xFF).collect();
@@ -2207,8 +2145,8 @@ mod tests {
     fn mixed_width_batches_co_issue_in_one_mimd_window() {
         let lanes = machine().lanes_per_subarray();
         // Two independent same-level steps with differing lane widths: an 8-bit op over
-        // lanes+1 elements (2 chunks) and a 16-bit op over 3 elements (1 chunk). PR 9
-        // serialized these as separate dispatches; MIMD windows co-issue them.
+        // lanes+1 elements (2 chunks) and a 16-bit op over 3 elements (1 chunk). MIMD
+        // windows co-issue them in one dispatch.
         let x_vals: Vec<u64> = (0..(lanes + 1) as u64)
             .map(|i| (i * 37 + 11) & 0xFF)
             .collect();
@@ -2249,28 +2187,29 @@ mod tests {
         assert_eq!(m.estimate().broadcasts, 2);
         assert_eq!(m.dispatch_windows_issued(), 2);
 
-        // The serialized schedule (mimd_windows off) is bit-identical in results and
-        // functional command accounting — only the dispatch count differs.
-        let mut serial_config = SimdramConfig::functional_test();
-        serial_config.mimd_windows = false;
-        let mut serial = SimdramMachine::new(serial_config).unwrap();
-        let (plan, out_x, out_y) = build(&mut serial);
-        let serial_exec = serial.run_plan(&plan).unwrap();
-        assert_eq!(serial.read(serial_exec.output(out_x)).unwrap(), expected_x);
-        assert_eq!(serial.read(serial_exec.output(out_y)).unwrap(), expected_y);
-        assert_eq!(serial_exec.report().broadcasts, 3);
-        assert_eq!(serial_exec.report().windows, 3);
+        // The fully serialized schedule — the same dataflow issued as eager calls in
+        // the plan's batch order, one dispatch per step — is bit-identical in results,
+        // per-step reports and functional command accounting; only the dispatch count
+        // differs.
+        let mut serial = machine();
+        let x = serial.alloc_and_write(8, &x_vals).unwrap();
+        let y = serial.alloc_and_write(16, &y_vals).unwrap();
+        let c = serial.alloc(16, y_vals.len()).unwrap();
+        serial.init(&c, 25).unwrap();
+        let (ax, abs_report) = serial.unary(Operation::Abs, &x).unwrap();
+        let (sy, add_report) = serial.binary(Operation::Add, &y, &c).unwrap();
+        assert_eq!(serial.read(&ax).unwrap(), expected_x);
+        assert_eq!(serial.read(&sy).unwrap(), expected_y);
         assert_eq!(serial.estimate().broadcasts, 3);
         assert_eq!(serial.device_stats(), m.device_stats());
-        assert_eq!(serial_exec.report().commands, exec.report().commands);
+        assert_eq!(exec.report().step_reports, vec![abs_report, add_report]);
         // Lane-fixed placement makes both batches claim chunk 0, so inside one plan the
-        // co-issued segments still serialize on that subarray: the busy window is
-        // bit-identical and the MIMD win is the dispatch-window count (cross-plan
+        // co-issued segments still serialize on that subarray: the busy window equals
+        // the serialized one and the MIMD win is the dispatch-window count (cross-plan
         // windows over disjoint reservations get real overlap — see
         // `run_mimd_window_issues_one_heterogeneous_dispatch`).
         assert!(
-            (exec.report().measured_latency_ns - serial_exec.report().measured_latency_ns).abs()
-                < 1e-9
+            (exec.report().measured_latency_ns - serial.estimate().busy_latency_ns).abs() < 1e-9
         );
     }
 

@@ -163,8 +163,7 @@ pub struct PlanReport {
     /// Number of fused broadcasts (batches) issued.
     pub broadcasts: usize,
     /// MIMD dispatch windows the batches were issued in (≤ `broadcasts`): independent
-    /// same-level batches co-issue in one window when
-    /// [`crate::SimdramConfig::mimd_windows`] is on, so `broadcasts - windows` is the
+    /// same-level batches co-issue in one window, so `broadcasts - windows` is the
     /// number of dispatches MIMD saved for this plan.
     pub windows: usize,
     /// Broadcasts the eager op-by-op path would have issued for the same steps.

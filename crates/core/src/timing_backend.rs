@@ -1,37 +1,24 @@
-//! Pluggable timing backends: the trait layer between broadcast execution and
-//! timing/energy estimation.
+//! Timing backends: which estimation engine folds the executed command traces.
 //!
 //! The machine's accounting has always been *trace-driven*: broadcast kernels return
-//! per-chunk [`CommandTrace`]s, and an estimation engine folds them into a
-//! [`BroadcastEstimate`]. This module makes the engine swappable:
+//! per-chunk [`simdram_dram::CommandTrace`]s, and an estimation engine folds them into a
+//! [`crate::BroadcastEstimate`]. Two backends exist:
 //!
-//! * [`TimingBackendKind::Analytic`] — the [`TraceEstimator`] math, unchanged and
+//! * [`TimingBackendKind::Analytic`] — the [`crate::TraceEstimator`] math, unchanged and
 //!   bit-identical to what the machine always computed: per-command template costs,
 //!   max over lock-step chunks, serialized broadcasts.
 //! * [`TimingBackendKind::BankState`] — the analytic numbers **plus** a bank-state
 //!   replay of the same traces ([`simdram_dram::BankStateModel`]): open-row tracking,
 //!   rank-wide ACTIVATE serialization (tRRD/tFAW) and tREFI/tRFC refresh
-//!   interference. The replay rides in [`BroadcastEstimate::bank_state`]; the analytic
-//!   fields are never touched, so selecting a backend cannot move the baseline
-//!   numbers.
+//!   interference. The replay rides in [`crate::BroadcastEstimate::bank_state`]; the
+//!   analytic fields are never touched, so selecting a backend cannot move the
+//!   baseline numbers.
 //!
-//! Selection flows through [`crate::SimdramConfig::timing_backend`] and the
-//! `SIMDRAM_TIMING` environment override (mirroring `SIMDRAM_EXEC`/`SIMDRAM_FUNC`),
-//! so the machine, the plan runner and the `simdram-serve` layer all pick the backend
-//! up without code changes.
+//! Selection flows through [`crate::SimdramConfig::timing_backend`] and its
+//! `SIMDRAM_TIMING` environment override, so the machine, the plan runner and the
+//! `simdram-serve` layer all pick the backend up without code changes.
 
 use std::fmt;
-
-use simdram_dram::energy::EnergyModel;
-use simdram_dram::envopt::{self, EnvOverrideError};
-use simdram_dram::{BankStateModel, BankTiming, CommandTrace, DramTiming};
-
-use crate::estimate::{BroadcastEstimate, TraceEstimator};
-
-/// Environment variable carrying the timing-backend override.
-const TIMING_VAR: &str = "SIMDRAM_TIMING";
-/// Accepted `SIMDRAM_TIMING` grammar, quoted in every rejection error.
-const TIMING_EXPECTED: &str = "analytic | bankstate";
 
 /// Which timing backend a machine folds its command traces through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,67 +41,9 @@ impl TimingBackendKind {
         }
     }
 
-    /// Reads the `SIMDRAM_TIMING` environment override, surfacing malformed values as
-    /// a typed [`EnvOverrideError`] instead of panicking or silently falling back.
-    /// Returns `Ok(None)` only when the variable is unset.
-    ///
-    /// Recognized (case-insensitive) values: `analytic`, `bankstate`. This is how CI
-    /// forces the whole tier-1 suite through the bank-state backend without code
-    /// changes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnvOverrideError`] when the variable is set but unrecognized.
-    pub fn try_from_env() -> Result<Option<Self>, EnvOverrideError> {
-        envopt::env_override(TIMING_VAR, TIMING_EXPECTED, Self::recognize)
-    }
-
-    /// Reads the `SIMDRAM_TIMING` environment override. Returns `None` only when the
-    /// variable is unset, letting the caller fall back to its configured default.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a set-but-unrecognized value. The variable exists solely as a
-    /// test/CI override; silently ignoring a typo would let a CI job believe it
-    /// exercised the bank-state backend while re-running the analytic path. Callers
-    /// that want a recoverable failure use [`TimingBackendKind::try_from_env`].
-    pub fn from_env() -> Option<Self> {
-        Self::try_from_env().unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Parses one `SIMDRAM_TIMING` override value with the shared normalization rules.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnvOverrideError`] on anything [`TimingBackendKind::try_from_env`]
-    /// would reject.
-    pub fn parse_override(raw: &str) -> Result<Self, EnvOverrideError> {
-        envopt::parse_override(TIMING_VAR, TIMING_EXPECTED, raw, Self::recognize)
-    }
-
-    /// The pure grammar recognizer behind [`TimingBackendKind::parse_override`]:
-    /// `value` is already trimmed and lowercased; `None` means "not in the grammar".
-    fn recognize(value: &str) -> Option<Self> {
-        match value {
-            "analytic" => Some(TimingBackendKind::Analytic),
-            "bankstate" => Some(TimingBackendKind::BankState),
-            _ => None,
-        }
-    }
-
     /// Returns `true` for the bank-state variant.
     pub fn is_bank_state(self) -> bool {
         matches!(self, TimingBackendKind::BankState)
-    }
-
-    /// Builds the backend for this kind over the given timing/energy models.
-    pub fn build(self, timing: DramTiming, energy: EnergyModel) -> Box<dyn TimingBackend> {
-        match self {
-            TimingBackendKind::Analytic => Box::new(TraceEstimator::new(timing, energy)),
-            TimingBackendKind::BankState => {
-                Box::new(BankStateBackend::new(timing, energy, BankTiming::default()))
-            }
-        }
     }
 }
 
@@ -124,109 +53,24 @@ impl fmt::Display for TimingBackendKind {
     }
 }
 
-/// A timing backend: folds one broadcast's per-chunk command traces into a
-/// [`BroadcastEstimate`].
-///
-/// Every implementation must keep the estimate's *analytic* fields (`latency_ns`,
-/// `cycles`, `energy_nj`, `background_nj`, counts) bit-identical to
-/// [`TraceEstimator::broadcast`] — higher-fidelity data goes in
-/// [`BroadcastEstimate::bank_state`]. This is the contract that lets CI run the whole
-/// suite under any backend without perturbing a single baseline number.
-pub trait TimingBackend: fmt::Debug + Send + Sync {
-    /// Which backend this is.
-    fn kind(&self) -> TimingBackendKind;
-
-    /// Folds one broadcast's per-chunk traces into an estimate.
-    fn broadcast(&self, traces: &[CommandTrace]) -> BroadcastEstimate;
-
-    /// Whether broadcasts should retain per-command trace history for this backend.
-    /// The bank-state replay classifies individual commands, so it asks the machine to
-    /// keep history even in the compiled functional mode (aggregate-only traces fall
-    /// back to analytic charging).
-    fn wants_history(&self) -> bool {
-        self.kind().is_bank_state()
-    }
-}
-
-impl TimingBackend for TraceEstimator {
-    fn kind(&self) -> TimingBackendKind {
-        TimingBackendKind::Analytic
-    }
-
-    fn broadcast(&self, traces: &[CommandTrace]) -> BroadcastEstimate {
-        TraceEstimator::broadcast(self, traces)
-    }
-}
-
-/// The bank-state backend: analytic numbers with the bank-state replay attached.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BankStateBackend {
-    analytic: TraceEstimator,
-    model: BankStateModel,
-}
-
-impl BankStateBackend {
-    /// Creates a bank-state backend over the given timing/energy models.
-    pub fn new(timing: DramTiming, energy: EnergyModel, bank: BankTiming) -> Self {
-        let model = BankStateModel::new(timing.clone(), bank);
-        BankStateBackend {
-            analytic: TraceEstimator::new(timing, energy),
-            model,
-        }
-    }
-
-    /// The replay engine behind this backend.
-    pub fn model(&self) -> &BankStateModel {
-        &self.model
-    }
-}
-
-impl TimingBackend for BankStateBackend {
-    fn kind(&self) -> TimingBackendKind {
-        TimingBackendKind::BankState
-    }
-
-    fn broadcast(&self, traces: &[CommandTrace]) -> BroadcastEstimate {
-        let mut estimate = self.analytic.broadcast(traces);
-        estimate.bank_state = Some(self.model.replay(traces));
-        estimate
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simdram_dram::{BGroupRow, DramConfig, RowAddr, Subarray};
-
-    fn sample_traces() -> Vec<CommandTrace> {
-        let config = DramConfig::tiny();
-        (0..2)
-            .map(|_| {
-                let mut sa = Subarray::new(&config);
-                sa.aap(RowAddr::Data(0), RowAddr::BGroup(BGroupRow::T0))
-                    .unwrap();
-                sa.aap(RowAddr::Data(1), RowAddr::BGroup(BGroupRow::T1))
-                    .unwrap();
-                sa.ap_tra(BGroupRow::T0, BGroupRow::T1, BGroupRow::T2)
-                    .unwrap();
-                sa.trace().clone()
-            })
-            .collect()
-    }
+    use crate::{SimdramConfig, SimdramMachine};
+    use simdram_logic::Operation;
 
     #[test]
     fn env_override_parsing() {
-        // parse_override is from_env minus the env read, so every branch is testable
-        // without touching the process environment; the env-sensitive plumbing itself
-        // is covered by CI running the suite under SIMDRAM_TIMING=bankstate.
-        assert_eq!(
-            TimingBackendKind::parse_override("analytic"),
-            Ok(TimingBackendKind::Analytic)
-        );
-        assert_eq!(
-            TimingBackendKind::parse_override(" BankState "),
-            Ok(TimingBackendKind::BankState)
-        );
+        // Every branch of the SIMDRAM_TIMING grammar is testable without touching the
+        // process environment; the env-sensitive plumbing itself is covered by CI
+        // running the suite under SIMDRAM_TIMING=bankstate.
+        let timing = |raw| {
+            SimdramConfig::default()
+                .with_override("SIMDRAM_TIMING", raw)
+                .map(|c| c.timing_backend)
+        };
+        assert_eq!(timing("analytic"), Ok(TimingBackendKind::Analytic));
+        assert_eq!(timing(" BankState "), Ok(TimingBackendKind::BankState));
         assert!(TimingBackendKind::BankState.is_bank_state());
         assert!(!TimingBackendKind::Analytic.is_bank_state());
         assert_eq!(TimingBackendKind::Analytic.to_string(), "analytic");
@@ -235,40 +79,48 @@ mod tests {
 
     #[test]
     fn env_override_rejects_typos_with_a_typed_error() {
-        let err = TimingBackendKind::parse_override("bank-state").unwrap_err();
+        let err = SimdramConfig::default()
+            .with_override("SIMDRAM_TIMING", "bank-state")
+            .unwrap_err();
         assert_eq!(err.var, "SIMDRAM_TIMING");
         assert_eq!(err.value, "bank-state");
         assert!(err.to_string().contains("analytic | bankstate"));
     }
 
     #[test]
-    fn analytic_backend_delegates_bit_identically() {
-        let timing = DramTiming::default();
-        let energy = EnergyModel::default();
-        let traces = sample_traces();
-        let direct = TraceEstimator::new(timing.clone(), energy.clone()).broadcast(&traces);
-        let via_trait = TimingBackendKind::Analytic
-            .build(timing, energy)
-            .broadcast(&traces);
-        assert_eq!(direct, via_trait);
-        assert!(via_trait.bank_state.is_none());
-    }
-
-    #[test]
     fn bankstate_backend_keeps_analytic_fields_and_attaches_a_replay() {
-        let timing = DramTiming::default();
-        let energy = EnergyModel::default();
-        let traces = sample_traces();
-        let analytic = TraceEstimator::new(timing.clone(), energy.clone()).broadcast(&traces);
-        let backend = TimingBackendKind::BankState.build(timing, energy);
-        assert!(backend.wants_history());
-        let estimate = backend.broadcast(&traces);
+        // The same 300-element add (two chunks) under each backend.
+        let run = |timing_backend| {
+            let config = SimdramConfig {
+                timing_backend,
+                ..SimdramConfig::functional_test()
+            };
+            let mut m = SimdramMachine::new(config).unwrap();
+            let a = m.alloc_and_write(8, &[7; 300]).unwrap();
+            let b = m.alloc_and_write(8, &[9; 300]).unwrap();
+            let (_, report) = m.binary(Operation::Add, &a, &b).unwrap();
+            (report, m.estimate().clone())
+        };
+        let (analytic_report, analytic) = run(TimingBackendKind::Analytic);
+        let (report, estimate) = run(TimingBackendKind::BankState);
         // Analytic fields untouched, bit for bit.
-        assert_eq!(estimate.latency_ns.to_bits(), analytic.latency_ns.to_bits());
+        assert_eq!(
+            report.measured_latency_ns.to_bits(),
+            analytic_report.measured_latency_ns.to_bits()
+        );
+        assert_eq!(
+            estimate.busy_latency_ns.to_bits(),
+            analytic.busy_latency_ns.to_bits()
+        );
         assert_eq!(estimate.energy_nj.to_bits(), analytic.energy_nj.to_bits());
         assert_eq!(estimate.cycles, analytic.cycles);
-        let replay = estimate.bank_state.expect("bankstate replay attached");
-        assert!(replay.latency_ns >= estimate.latency_ns);
-        assert_eq!(replay.chunks, 2);
+        assert!(analytic_report.bank_state_latency_ns.is_none());
+        assert!(analytic.bank_state.is_none());
+        let replayed = report
+            .bank_state_latency_ns
+            .expect("bankstate replay attached");
+        assert!(replayed >= report.measured_latency_ns);
+        let totals = estimate.bank_state.expect("bankstate totals");
+        assert_eq!(totals.broadcasts, estimate.broadcasts);
     }
 }

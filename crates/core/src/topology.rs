@@ -57,10 +57,18 @@ pub struct ShardMap {
 }
 
 impl ShardMap {
-    /// Creates a map over `devices` ranked devices (must be ≥ 1).
-    pub fn new(devices: usize, policy: ShardPolicy) -> Self {
-        debug_assert!(devices >= 1);
-        ShardMap { devices, policy }
+    /// Creates a map over `devices` ranked devices.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Shape`] for `devices == 0`: no device could own an element.
+    pub fn new(devices: usize, policy: ShardPolicy) -> Result<Self> {
+        if devices == 0 {
+            return Err(CoreError::Shape(
+                "a shard map needs at least one device".into(),
+            ));
+        }
+        Ok(ShardMap { devices, policy })
     }
 
     /// The placement policy.
@@ -342,7 +350,15 @@ impl ShardedMachine {
 
     /// The fleet's default shard map for `len`-agnostic placement questions.
     pub fn shard_map(&self) -> ShardMap {
-        ShardMap::new(self.devices.len(), self.policy)
+        self.map(self.policy)
+    }
+
+    /// The shard map of `policy` over this fleet, which is never empty.
+    fn map(&self, policy: ShardPolicy) -> ShardMap {
+        ShardMap {
+            devices: self.devices.len(),
+            policy,
+        }
     }
 
     /// Cumulative cross-device movement totals.
@@ -378,7 +394,7 @@ impl ShardedMachine {
                 "cannot shard an empty vector across devices".into(),
             ));
         }
-        let map = ShardMap::new(self.devices.len(), policy);
+        let map = self.map(policy);
         let wave = self.wave_capacity();
         let mut parts: Vec<Vec<SimdVector>> = Vec::with_capacity(self.devices.len());
         for (rank, indices) in map.partition(values.len()).into_iter().enumerate() {
@@ -529,7 +545,7 @@ impl ShardedMachine {
         vector: &ShardedVector,
         policy: ShardPolicy,
     ) -> Result<ShardedVector> {
-        let target = ShardMap::new(self.devices.len(), policy);
+        let target = self.map(policy);
         let moved = vector.map.crossing_elements(&target, vector.len);
         if moved > 0 {
             let bytes = moved * vector.width.div_ceil(8);
@@ -611,7 +627,7 @@ mod tests {
         for policy in [ShardPolicy::Contiguous, ShardPolicy::Interleaved] {
             for devices in [1, 2, 3, 4] {
                 for len in [1, 2, 7, 16, 33] {
-                    let map = ShardMap::new(devices, policy);
+                    let map = ShardMap::new(devices, policy).unwrap();
                     let parts = map.partition(len);
                     assert_eq!(parts.len(), devices);
                     let mut seen: Vec<usize> = parts.iter().flatten().copied().collect();
@@ -624,6 +640,13 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn shard_map_rejects_an_empty_fleet() {
+        for policy in [ShardPolicy::Contiguous, ShardPolicy::Interleaved] {
+            assert!(matches!(ShardMap::new(0, policy), Err(CoreError::Shape(_))));
         }
     }
 

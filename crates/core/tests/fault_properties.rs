@@ -34,16 +34,12 @@ fn machine_with(
 }
 
 /// The mode × policy grid: `(Interpreted, Sequential)` is the reference.
-fn mode_grid() -> [(FunctionalMode, ExecutionPolicy); 4] {
+fn mode_grid() -> [(FunctionalMode, ExecutionPolicy); 3] {
     [
         (FunctionalMode::Interpreted, ExecutionPolicy::Sequential),
-        (FunctionalMode::compiled(), ExecutionPolicy::Sequential),
+        (FunctionalMode::Compiled, ExecutionPolicy::Sequential),
         (
-            FunctionalMode::Compiled { trace_every: 1 },
-            ExecutionPolicy::Sequential,
-        ),
-        (
-            FunctionalMode::compiled(),
+            FunctionalMode::Compiled,
             ExecutionPolicy::Threaded { max_threads: 2 },
         ),
     ]

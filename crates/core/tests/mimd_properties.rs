@@ -8,12 +8,12 @@
 //!    read-back results to a single device running the same elementwise operations,
 //!    and its merged fleet [`DeviceStats`] equals the solo device's stats (placement
 //!    moves work, never changes it).
-//! 2. **MIMD-window transparency** — a plan whose levels mix lane widths produces
-//!    bit-identical outputs, per-plan reports (up to the window count itself) and
-//!    functional [`DeviceStats`] whether its same-level batches co-issue in MIMD
-//!    windows (`mimd_windows: true`) or run serialized per batch (the PR 9 schedule,
-//!    `mimd_windows: false`), under either execution policy — while issuing strictly
-//!    fewer dispatches.
+//! 2. **MIMD-window transparency** — a plan whose levels mix lane widths, with its
+//!    same-level batches co-issued in MIMD windows, produces bit-identical outputs,
+//!    per-step reports and functional [`DeviceStats`] to the fully serialized
+//!    schedule — the same dataflow issued as eager calls in the plan's batch order, one
+//!    dispatch per step — under either execution policy, while issuing strictly fewer
+//!    dispatches.
 
 use proptest::prelude::*;
 use simdram_core::{
@@ -22,10 +22,9 @@ use simdram_core::{
 };
 use simdram_logic::Operation;
 
-fn config_with(execution: ExecutionPolicy, mimd_windows: bool) -> SimdramConfig {
+fn config_with(execution: ExecutionPolicy) -> SimdramConfig {
     let mut config = SimdramConfig::functional_test();
     config.execution = execution;
-    config.mimd_windows = mimd_windows;
     config
 }
 
@@ -69,7 +68,7 @@ proptest! {
 
         for execution in policies() {
             // Single-device reference.
-            let mut solo = SimdramMachine::new(config_with(execution, true)).unwrap();
+            let mut solo = SimdramMachine::new(config_with(execution)).unwrap();
             let sa = solo.alloc_and_write(width, &a_vals).unwrap();
             let expected = if op.uses_second_operand() {
                 let sb = solo.alloc_and_write(width, &b_vals).unwrap();
@@ -82,7 +81,7 @@ proptest! {
 
             // Sharded fleet, same operation.
             let mut fleet = ShardedMachine::new(
-                config_with(execution, true),
+                config_with(execution),
                 devices,
                 shard_policy,
                 LinkModel::default(),
@@ -123,8 +122,9 @@ proptest! {
         }
     }
 
-    // Contract 2: a mixed-lane-width plan behaves identically with MIMD windows on or
-    // off — outputs, per-plan accounting and DeviceStats — but issues fewer dispatches.
+    // Contract 2: a mixed-lane-width plan run in MIMD windows behaves identically to
+    // the same dataflow issued eagerly in batch order — outputs, per-step reports and
+    // DeviceStats — but issues fewer dispatches.
     #[test]
     fn mimd_windows_match_serialized_dispatch(
         width_a in 2usize..=8,
@@ -145,58 +145,62 @@ proptest! {
         let y_vals: Vec<u64> = (0..len_y as u64)
             .map(|i| (i.wrapping_mul(seed_y | 1) >> 5) & mask_y)
             .collect();
+        let (const_x, const_y) = (seed_x & mask_x, seed_y & mask_y);
 
         for execution in policies() {
-            let mut runs = Vec::new();
-            for mimd in [true, false] {
-                let mut m = SimdramMachine::new(config_with(execution, mimd)).unwrap();
-                let x = m.alloc_and_write(width_a, &x_vals).unwrap();
-                let y = m.alloc_and_write(width_b, &y_vals).unwrap();
-                // Two independent chains of differing lane widths: their same-level
-                // steps land in separate batches that share a dispatch window.
-                let mut s = PlanBuilder::new();
-                let xe = s.input(&x);
-                let ye = s.input(&y);
-                let cx = s.constant(width_a, len_x, seed_x & mask_x).unwrap();
-                let cy = s.constant(width_b, len_y, seed_y & mask_y).unwrap();
-                let sum_x = s.add(xe, cx).unwrap();
-                let min_y = s.min(ye, cy).unwrap();
-                let abs_x = s.abs(sum_x).unwrap();
-                let max_y = s.max(min_y, ye).unwrap();
-                let out_x = s.materialize(abs_x).unwrap();
-                let out_y = s.materialize(max_y).unwrap();
-                let plan = s.compile().unwrap();
-                prop_assert!(plan.window_count() < plan.batch_count());
-                prop_assert!(plan.mixed_window_count() > 0);
+            let mut m = SimdramMachine::new(config_with(execution)).unwrap();
+            let x = m.alloc_and_write(width_a, &x_vals).unwrap();
+            let y = m.alloc_and_write(width_b, &y_vals).unwrap();
+            // Two independent chains of differing lane widths: their same-level steps
+            // land in separate batches that share a dispatch window.
+            let mut s = PlanBuilder::new();
+            let xe = s.input(&x);
+            let ye = s.input(&y);
+            let cx = s.constant(width_a, len_x, const_x).unwrap();
+            let cy = s.constant(width_b, len_y, const_y).unwrap();
+            let sum_x = s.add(xe, cx).unwrap();
+            let min_y = s.min(ye, cy).unwrap();
+            let abs_x = s.abs(sum_x).unwrap();
+            let max_y = s.max(min_y, ye).unwrap();
+            let out_x = s.materialize(abs_x).unwrap();
+            let out_y = s.materialize(max_y).unwrap();
+            let plan = s.compile().unwrap();
+            prop_assert!(plan.window_count() < plan.batch_count());
+            prop_assert!(plan.mixed_window_count() > 0);
+            let exec = m.run_plan(&plan).unwrap();
+            let report = exec.report();
+            prop_assert_eq!(report.windows, plan.window_count());
+            prop_assert_eq!(report.broadcasts, plan.batch_count());
+            prop_assert_eq!(m.estimate().broadcasts, plan.window_count());
 
-                let exec = m.run_plan(&plan).unwrap();
-                let rx = m.read(exec.output(out_x)).unwrap();
-                let ry = m.read(exec.output(out_y)).unwrap();
-                let report = exec.report().clone();
-                let dispatches = m.estimate().broadcasts;
-                let stats = m.device_stats().clone();
-                runs.push((rx, ry, report, dispatches, stats, plan.window_count(), plan.batch_count()));
-            }
-            let (serial_runs, mimd_runs) = (runs.pop().unwrap(), runs.pop().unwrap());
-            // Bit-identical outputs and functional accounting.
-            prop_assert_eq!(&mimd_runs.0, &serial_runs.0);
-            prop_assert_eq!(&mimd_runs.1, &serial_runs.1);
-            prop_assert_eq!(&mimd_runs.4, &serial_runs.4);
-            // Identical per-plan reports up to the window count itself.
-            let (mut mimd_report, mut serial_report) = (mimd_runs.2, serial_runs.2);
-            prop_assert_eq!(mimd_report.windows, mimd_runs.5);
-            prop_assert_eq!(serial_report.windows, serial_runs.6);
-            mimd_report.windows = 0;
-            serial_report.windows = 0;
-            prop_assert_eq!(mimd_report.broadcasts, serial_report.broadcasts);
-            prop_assert_eq!(mimd_report.ops, serial_report.ops);
-            prop_assert_eq!(mimd_report.commands, serial_report.commands);
-            prop_assert_eq!(&mimd_report.step_reports, &serial_report.step_reports);
-            prop_assert!(
-                (mimd_report.measured_energy_nj - serial_report.measured_energy_nj).abs() < 1e-6
+            // The serialized oracle, in the plan's batch order: each level's x batch
+            // issues before its y batch.
+            let mut e = SimdramMachine::new(config_with(execution)).unwrap();
+            let x = e.alloc_and_write(width_a, &x_vals).unwrap();
+            let y = e.alloc_and_write(width_b, &y_vals).unwrap();
+            let cx = e.alloc(width_a, len_x).unwrap();
+            e.init(&cx, const_x).unwrap();
+            let cy = e.alloc(width_b, len_y).unwrap();
+            e.init(&cy, const_y).unwrap();
+            let (sum_x, add_report) = e.binary(Operation::Add, &x, &cx).unwrap();
+            let (min_y, min_report) = e.binary(Operation::Min, &y, &cy).unwrap();
+            let (abs_x, abs_report) = e.unary(Operation::Abs, &sum_x).unwrap();
+            let (max_y, max_report) = e.binary(Operation::Max, &min_y, &y).unwrap();
+
+            // Bit-identical outputs, per-step reports and functional accounting.
+            prop_assert_eq!(m.read(exec.output(out_x)).unwrap(), e.read(&abs_x).unwrap());
+            prop_assert_eq!(m.read(exec.output(out_y)).unwrap(), e.read(&max_y).unwrap());
+            prop_assert_eq!(
+                &report.step_reports,
+                &vec![add_report, min_report, abs_report, max_report]
             );
-            // Strictly fewer machine dispatches with MIMD windows on.
-            prop_assert!(mimd_runs.3 < serial_runs.3);
+            prop_assert_eq!(m.device_stats(), e.device_stats());
+            prop_assert!(
+                (report.measured_energy_nj - e.estimate().energy_nj).abs() < 1e-6
+            );
+            // One dispatch per step serialized; strictly fewer with MIMD windows.
+            prop_assert_eq!(e.estimate().broadcasts, plan.step_count());
+            prop_assert!(m.estimate().broadcasts < e.estimate().broadcasts);
         }
     }
 }

@@ -6,10 +6,15 @@
 //! [`FunctionalMode::Compiled`] produces **bit-identical** simulated outcomes to the
 //! interpreted reference — read-back results, [`DeviceStats`] (per-kind command counts
 //! and floating-point latency/energy totals) and the cumulative `MachineEstimate` — under
-//! either [`ExecutionPolicy`], with or without per-command history sampling.
+//! either [`ExecutionPolicy`] and either timing backend. Under the bank-state backend
+//! the compiled engine keeps per-command history for the replay, so its bank-state
+//! totals match the interpreter's too.
 
 use proptest::prelude::*;
-use simdram_core::{ExecutionPolicy, FunctionalMode, SimdramConfig, SimdramMachine};
+use simdram_core::{
+    ExecutionPolicy, FaultModel, FunctionalMode, GuardMode, PlanBuilder, SimdramConfig,
+    SimdramMachine, TimingBackendKind,
+};
 use simdram_dram::{BGroupRow, BitRow, CommandCosts, DramConfig, RowAddr, Subarray};
 use simdram_logic::Operation;
 use simdram_uprog::{build_program, execute, CodegenOptions, CompiledProgram, RowBinding, Target};
@@ -23,19 +28,29 @@ fn machine_with(functional: FunctionalMode, execution: ExecutionPolicy) -> Simdr
 
 /// The mode × policy grid every case runs over. `(Interpreted, Sequential)` is the
 /// reference; the rest must match it exactly.
-fn mode_grid() -> [(FunctionalMode, ExecutionPolicy); 4] {
+fn mode_grid() -> [(FunctionalMode, ExecutionPolicy); 3] {
     [
         (FunctionalMode::Interpreted, ExecutionPolicy::Sequential),
-        (FunctionalMode::compiled(), ExecutionPolicy::Sequential),
+        (FunctionalMode::Compiled, ExecutionPolicy::Sequential),
         (
-            FunctionalMode::Compiled { trace_every: 1 },
-            ExecutionPolicy::Sequential,
-        ),
-        (
-            FunctionalMode::compiled(),
+            FunctionalMode::Compiled,
             ExecutionPolicy::Threaded { max_threads: 2 },
         ),
     ]
+}
+
+/// A machine under the bank-state backend, every other runtime axis pinned so the
+/// comparison holds under any `SIMDRAM_*` override.
+fn bankstate_machine(functional: FunctionalMode) -> SimdramMachine {
+    SimdramMachine::new(SimdramConfig {
+        execution: ExecutionPolicy::Sequential,
+        functional,
+        timing_backend: TimingBackendKind::BankState,
+        faults: FaultModel::Off,
+        guard: GuardMode::Off,
+        ..SimdramConfig::functional_test()
+    })
+    .unwrap()
 }
 
 proptest! {
@@ -96,6 +111,50 @@ proptest! {
         }
         // The reference really did something.
         prop_assert!(device_stats[0].total_commands() > 0);
+    }
+
+    // Bank-state replay: the compiled engine keeps per-command history exactly when the
+    // machine replays bank state, so under `BankState` it must match the interpreter in
+    // results, reports (per-step replay latency included), DeviceStats and the
+    // cumulative estimate with its bank-state totals.
+    #[test]
+    fn compiled_matches_interpreter_under_bank_state_replay(
+        op_index in 0usize..Operation::ALL.len(),
+        width in 2usize..=8,
+        seed_a in any::<u64>(),
+        seed_b in any::<u64>(),
+        len in 1usize..300,
+    ) {
+        let op = Operation::ALL[op_index];
+        let mask = (1u64 << width) - 1;
+        let a_vals: Vec<u64> = (0..len as u64).map(|i| (i.wrapping_mul(seed_a | 1) >> 7) & mask).collect();
+        let b_vals: Vec<u64> = (0..len as u64).map(|i| (i.wrapping_mul(seed_b | 1) >> 5) & mask).collect();
+        let p_vals: Vec<bool> = (0..len as u64).map(|i| (i.wrapping_mul(seed_b | 1) >> 3) & 1 == 1).collect();
+
+        let mut runs = Vec::new();
+        for functional in [FunctionalMode::Interpreted, FunctionalMode::Compiled] {
+            let mut m = bankstate_machine(functional);
+            let a = m.alloc_and_write(width, &a_vals).unwrap();
+            let b = op.uses_second_operand().then(|| m.alloc_and_write(width, &b_vals).unwrap());
+            let p = op.uses_predicate().then(|| {
+                let pred = m.alloc(1, len).unwrap();
+                m.write_bools(&pred, &p_vals).unwrap();
+                pred
+            });
+            let dst = m.alloc(op.output_width(width), len).unwrap();
+            let report = m.execute(op, &dst, &a, b.as_ref(), p.as_ref()).unwrap();
+            runs.push((m.read(&dst).unwrap(), report, m.device_stats().clone(), m.estimate().clone()));
+        }
+        let (compiled, interpreted) = (runs.pop().unwrap(), runs.pop().unwrap());
+        prop_assert_eq!(&compiled.0, &interpreted.0);
+        prop_assert_eq!(&compiled.1, &interpreted.1);
+        prop_assert_eq!(&compiled.2, &interpreted.2);
+        prop_assert_eq!(&compiled.3, &interpreted.3);
+        let replayed = interpreted.1.bank_state_latency_ns.expect("per-step replay");
+        prop_assert_eq!(compiled.1.bank_state_latency_ns.map(f64::to_bits), Some(replayed.to_bits()));
+        let totals = interpreted.3.bank_state.as_ref().expect("bank-state totals");
+        prop_assert_eq!(totals.broadcasts, 1);
+        prop_assert!(totals.row_misses > 0);
     }
 
     // Substrate-level equivalence: one μProgram, one subarray, random operand rows. The
@@ -171,4 +230,42 @@ proptest! {
         prop_assert_eq!(aggregate_only.total_latency_ns().to_bits(), reference.total_latency_ns().to_bits());
         prop_assert_eq!(aggregate_only.total_energy_nj().to_bits(), reference.total_energy_nj().to_bits());
     }
+}
+
+/// A pinned bank-state case: every non-predicated op run eagerly over 300 8-bit elements
+/// (two chunks), then a three-op plan in two windows. Both engines replay the same 17
+/// broadcasts and agree on every total.
+#[test]
+fn bank_state_totals_agree_across_engines_for_every_op() {
+    let a_vals: Vec<u64> = (0..300u64).map(|i| (i * 37 + 11) & 0xFF).collect();
+    let b_vals: Vec<u64> = (0..300u64).map(|i| (i * 91 + 3) & 0xFF).collect();
+    let mut estimates = Vec::new();
+    for functional in [FunctionalMode::Interpreted, FunctionalMode::Compiled] {
+        let mut m = bankstate_machine(functional);
+        let a = m.alloc_and_write(8, &a_vals).unwrap();
+        let b = m.alloc_and_write(8, &b_vals).unwrap();
+        for op in Operation::ALL.into_iter().filter(|op| !op.uses_predicate()) {
+            let dst = m.alloc(op.output_width(8), a_vals.len()).unwrap();
+            m.execute(op, &dst, &a, op.uses_second_operand().then_some(&b), None)
+                .unwrap();
+            m.free(dst);
+        }
+        let mut s = PlanBuilder::new();
+        let (ae, be) = (s.input(&a), s.input(&b));
+        let sum = s.add(ae, be).unwrap();
+        let diff = s.sub(ae, be).unwrap();
+        let top = s.max(sum, diff).unwrap();
+        s.materialize(top).unwrap();
+        m.run_plan(&s.compile().unwrap()).unwrap();
+        estimates.push((m.estimate().clone(), m.device_stats().clone()));
+    }
+    assert_eq!(estimates[0], estimates[1]);
+    let totals = estimates[0]
+        .0
+        .bank_state
+        .clone()
+        .expect("bank-state totals");
+    assert_eq!(totals.broadcasts, estimates[0].0.broadcasts);
+    assert_eq!(totals.broadcasts, 17);
+    assert_eq!(totals.row_misses, 7_182);
 }

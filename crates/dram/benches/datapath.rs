@@ -1,6 +1,9 @@
-//! Per-command datapath microbenchmarks: AAP / TRA throughput and allocation behaviour.
+//! Per-command datapath microbenchmarks: AAP / TRA throughput and allocation behaviour,
+//! plus the in-DRAM MAJ/NOT building blocks over full 8 KiB rows.
 //!
-//! Run with `cargo bench -p simdram-dram --bench datapath`.
+//! Run with `cargo bench -p simdram-dram --bench datapath`. These measure the simulator
+//! itself; the architectural latencies the experiments report come from the analytic
+//! timing model, not from these wall-clock numbers.
 //!
 //! Before/after record for the allocation-free datapath rewrite (PR 4), measured with
 //! this exact benchmark (the pre-PR side run from a worktree of the previous commit with
@@ -152,5 +155,37 @@ fn bench_datapath(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_datapath);
+/// The composite in-DRAM MAJ/NOT operations, one per iteration (throughput in columns).
+fn bench_primitives(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dram_primitives");
+    group.throughput(Throughput::Elements(
+        DramConfig::default().columns_per_row as u64,
+    ));
+
+    let mut sa = prepared_subarray();
+    group.bench_function("in_dram_majority_of_three_rows", |b| {
+        b.iter(|| {
+            sa.maj_rows(
+                RowAddr::Data(0),
+                RowAddr::Data(1),
+                RowAddr::Data(2),
+                RowAddr::Data(10),
+            )
+            .unwrap();
+            sa.drain_trace();
+        })
+    });
+
+    let mut sa = prepared_subarray();
+    group.bench_function("in_dram_not_of_a_row", |b| {
+        b.iter(|| {
+            sa.not_row(RowAddr::Data(1), RowAddr::Data(11)).unwrap();
+            sa.drain_trace();
+        })
+    });
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_datapath, bench_primitives);
 criterion_main!(benches);

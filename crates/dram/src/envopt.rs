@@ -8,13 +8,10 @@
 //! silently: a CI job that believes it exercised the bank-state backend while re-running
 //! the analytic path is worse than a failing one.
 //!
-//! This module is the one shared parser behind all five axes. Each axis supplies a pure
-//! `&str -> Option<Self>` recognizer; [`env_override`] handles the environment read, the
-//! trim/lowercase normalization and the typed [`EnvOverrideError`] on rejection. The
-//! per-axis `try_from_env` constructors surface that error to callers that want a
-//! recoverable configuration failure (e.g. `SimdramConfig::with_env_overrides` in
-//! `simdram-core`), while the legacy `from_env` constructors keep the loud panic for
-//! the test presets.
+//! The five axes and their grammars form one table behind
+//! `SimdramConfig::with_env_overrides` in `simdram-core`. This module holds what that
+//! table shares: the environment read, the trim/lowercase normalization and the typed
+//! [`EnvOverrideError`] on rejection.
 
 use std::fmt;
 
@@ -47,38 +44,38 @@ impl std::error::Error for EnvOverrideError {}
 /// Reads and parses one `SIMDRAM_*` environment override.
 ///
 /// Returns `Ok(None)` when `var` is unset (the caller keeps its configured default),
-/// `Ok(Some(value))` when `parse` recognizes the normalized (trimmed, ASCII-lowercased)
+/// `Ok(Some(value))` when `recognize` accepts the normalized (trimmed, ASCII-lowercased)
 /// value, and a typed [`EnvOverrideError`] when the variable is set but malformed.
 ///
 /// # Errors
 ///
-/// Returns [`EnvOverrideError`] when the variable is set and `parse` rejects it.
+/// Returns [`EnvOverrideError`] when the variable is set and `recognize` rejects it.
 pub fn env_override<T>(
     var: &'static str,
     expected: &'static str,
-    parse: impl FnOnce(&str) -> Option<T>,
+    recognize: impl FnOnce(&str) -> Option<T>,
 ) -> Result<Option<T>, EnvOverrideError> {
     match std::env::var(var) {
-        Ok(raw) => parse_override(var, expected, &raw, parse).map(Some),
+        Ok(raw) => parse(var, expected, &raw, recognize).map(Some),
         Err(_) => Ok(None),
     }
 }
 
-/// The environment-free core of [`env_override`]: normalizes `raw` and applies `parse`,
-/// producing the same typed error an env read would. Exposed so every branch of every
-/// axis grammar is unit-testable without touching the process environment.
+/// The environment-free core of [`env_override`]: normalizes `raw` and applies
+/// `recognize`, producing the same typed error an env read would, so every grammar
+/// branch is testable without touching the process environment.
 ///
 /// # Errors
 ///
-/// Returns [`EnvOverrideError`] when `parse` rejects the normalized value.
-pub fn parse_override<T>(
+/// Returns [`EnvOverrideError`] when `recognize` rejects the normalized value.
+pub fn parse<T>(
     var: &'static str,
     expected: &'static str,
     raw: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
+    recognize: impl FnOnce(&str) -> Option<T>,
 ) -> Result<T, EnvOverrideError> {
     let value = raw.trim().to_ascii_lowercase();
-    parse(&value).ok_or_else(|| EnvOverrideError {
+    recognize(&value).ok_or_else(|| EnvOverrideError {
         var,
         value: raw.to_string(),
         expected,
@@ -90,8 +87,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_override_normalizes_and_accepts() {
-        let parsed = parse_override("SIMDRAM_TEST", "on | off", "  ON ", |v| match v {
+    fn parse_normalizes_and_accepts() {
+        let parsed = parse("SIMDRAM_TEST", "on | off", "  ON ", |v| match v {
             "on" => Some(true),
             "off" => Some(false),
             _ => None,
@@ -100,8 +97,8 @@ mod tests {
     }
 
     #[test]
-    fn parse_override_rejects_with_the_original_value() {
-        let err = parse_override("SIMDRAM_TEST", "on | off", " Maybe ", |v| match v {
+    fn parse_rejects_with_the_original_value() {
+        let err = parse("SIMDRAM_TEST", "on | off", " Maybe ", |v| match v {
             "on" => Some(true),
             _ => None,
         })

@@ -28,13 +28,7 @@
 //! because a 3-vs-0 column has three cells driving the bitline in the same direction
 //! and does not fail under realistic variation.
 
-use crate::envopt::{self, EnvOverrideError};
 use crate::variation::{TechnologyNode, VariationModel};
-
-/// Environment variable carrying the fault-model override.
-const FAULTS_VAR: &str = "SIMDRAM_FAULTS";
-/// Accepted `SIMDRAM_FAULTS` grammar, quoted in every rejection error.
-const FAULTS_EXPECTED: &str = "off | tra:<22nm|17nm|14nm|10nm|7nm>:<seed> | rowmap:<seed>";
 
 /// Monte-Carlo trials used to calibrate a node's per-TRA failure probability once, at
 /// [`FaultModel::tra_for_node`] construction time.
@@ -54,11 +48,10 @@ const WEAK_COLUMNS_PER_SUBARRAY: usize = 2;
 
 /// Which faults, if any, a [`crate::DramDevice`] injects during TRAs.
 ///
-/// Selected through `SimdramConfig` in `simdram-core`, or forced by the
-/// `SIMDRAM_FAULTS` environment override (see [`FaultModel::from_env`]) the same way
-/// `SIMDRAM_EXEC` / `SIMDRAM_FUNC` / `SIMDRAM_TIMING` select their axes. The default
-/// [`FaultModel::Off`] injects nothing and is bit-identical to builds predating the
-/// fault subsystem.
+/// Selected through `SimdramConfig` in `simdram-core`, or forced by its
+/// `SIMDRAM_FAULTS` environment override (`off | tra:<node>:<seed> | rowmap:<seed>`)
+/// like the other runtime axes. The default [`FaultModel::Off`] injects nothing and is
+/// bit-identical to builds predating the fault subsystem.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum FaultModel {
     /// No injection (the reference behaviour).
@@ -116,65 +109,6 @@ impl FaultModel {
     /// Returns `true` when no faults are injected.
     pub fn is_off(&self) -> bool {
         matches!(self, FaultModel::Off)
-    }
-
-    /// Reads the `SIMDRAM_FAULTS` environment override, surfacing malformed values as a
-    /// typed [`EnvOverrideError`] instead of panicking or silently falling back.
-    /// Returns `Ok(None)` only when the variable is unset.
-    ///
-    /// Recognized (case-insensitive) values: `off`, `tra:<node>:<seed>` (node one of
-    /// `22nm | 17nm | 14nm | 10nm | 7nm`) and `rowmap:<seed>`. This is how CI runs the
-    /// whole tier-1 suite with injection armed without code changes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnvOverrideError`] when the variable is set but unrecognized.
-    pub fn try_from_env() -> Result<Option<Self>, EnvOverrideError> {
-        envopt::env_override(FAULTS_VAR, FAULTS_EXPECTED, Self::recognize)
-    }
-
-    /// Reads the `SIMDRAM_FAULTS` environment override. Returns `None` only when the
-    /// variable is unset, letting the caller fall back to its configured default.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a set-but-unrecognized value. The variable exists solely as a test/CI
-    /// override; silently ignoring a typo would let a CI job believe it exercised the
-    /// fault path while running fault-free. Callers that want a recoverable failure use
-    /// [`FaultModel::try_from_env`].
-    pub fn from_env() -> Option<Self> {
-        Self::try_from_env().unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Parses one `SIMDRAM_FAULTS` override value with the shared normalization rules.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnvOverrideError`] on anything [`FaultModel::try_from_env`] would
-    /// reject.
-    pub fn parse_override(raw: &str) -> Result<Self, EnvOverrideError> {
-        envopt::parse_override(FAULTS_VAR, FAULTS_EXPECTED, raw, Self::recognize)
-    }
-
-    /// The pure grammar recognizer behind [`FaultModel::parse_override`]: `value` is
-    /// already trimmed and lowercased; `None` means "not in the grammar".
-    fn recognize(value: &str) -> Option<Self> {
-        if value == "off" {
-            return Some(FaultModel::Off);
-        }
-        if let Some(rest) = value.strip_prefix("tra:") {
-            let (node_name, seed_text) = rest.split_once(':')?;
-            let node = TechnologyNode::ALL
-                .into_iter()
-                .find(|n| n.name() == node_name)?;
-            let seed = seed_text.parse().ok()?;
-            return Some(FaultModel::tra_for_node(node, seed));
-        }
-        if let Some(seed_text) = value.strip_prefix("rowmap:") {
-            let seed = seed_text.parse().ok()?;
-            return Some(FaultModel::RowMap { seed });
-        }
-        None
     }
 
     /// Builds the per-subarray injection state for the subarray at device-wide linear
@@ -356,50 +290,6 @@ mod tests {
     fn off_is_the_default_and_installs_nothing() {
         assert!(FaultModel::default().is_off());
         assert!(FaultModel::Off.state_for(3, 256).is_none());
-    }
-
-    #[test]
-    fn env_override_parsing() {
-        assert!(FaultModel::parse_override("off").unwrap().is_off());
-        assert!(FaultModel::parse_override(" OFF ").unwrap().is_off());
-        match FaultModel::parse_override("tra:7nm:42").unwrap() {
-            FaultModel::Tra {
-                probability,
-                seed,
-                node,
-            } => {
-                assert_eq!(seed, 42);
-                assert_eq!(node, Some(TechnologyNode::Nm7));
-                assert!((0.0..=1.0).contains(&probability));
-            }
-            other => panic!("expected Tra, got {other:?}"),
-        }
-        assert_eq!(
-            FaultModel::parse_override("rowmap:9"),
-            Ok(FaultModel::RowMap { seed: 9 })
-        );
-    }
-
-    #[test]
-    fn env_override_rejects_typos_with_a_typed_error() {
-        let err = FaultModel::parse_override("tra").unwrap_err();
-        assert_eq!(err.var, "SIMDRAM_FAULTS");
-        assert_eq!(err.value, "tra");
-        assert!(err.expected.contains("tra:<"));
-    }
-
-    #[test]
-    fn env_override_rejects_unknown_node_with_a_typed_error() {
-        let err = FaultModel::parse_override("tra:5nm:1").unwrap_err();
-        assert_eq!(err.value, "tra:5nm:1");
-        assert!(err.to_string().contains("SIMDRAM_FAULTS"));
-    }
-
-    #[test]
-    fn env_override_rejects_bad_seed_with_a_typed_error() {
-        assert!(FaultModel::parse_override("rowmap:abc").is_err());
-        assert!(FaultModel::parse_override("tra:7nm:-3").is_err());
-        assert!(FaultModel::parse_override("tra:7nm:").is_err());
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub struct WindowRecord {
     pub placements: Vec<JobPlacement>,
     /// Fused broadcast dispatches the window issued: the `max` of the participants'
     /// MIMD dispatch-window counts (≤ their batch counts — independent same-level
-    /// batches co-issue when [`simdram_core::SimdramConfig::mimd_windows`] is on).
+    /// batches co-issue in one window).
     pub dispatches: usize,
     /// Broadcast dispatches the same jobs would have issued run back-to-back (`Σ` of
     /// the participants' batch counts).
