@@ -1,363 +1,53 @@
-//! `bench_diff` — the CI perf-regression gate.
+//! `bench_diff` — the exact report differ.
 //!
 //! ```text
 //! cargo run --release -p simdram-bench --bin bench_diff -- \
-//!     crates/bench/baseline.json BENCH_7.json [--threshold 0.15]
+//!     crates/bench/baseline.json BENCH_23.json
 //! ```
 //!
-//! Compares a freshly generated `BENCH_*.json` against the committed baseline and exits
-//! non-zero when any shared datapoint regresses by more than the threshold (default
-//! 15%) on a gated metric:
-//!
-//! * lower-is-better: `latency_ns`, `busy_latency_ns`, `energy_pj`, `energy_nj`,
-//!   `time_ms`, `energy_mj` — fail when `fresh > base × (1 + threshold)`;
-//! * higher-is-better: `throughput_gops`, `gops_per_watt`, `speedup_*` — fail when
-//!   `fresh < base × (1 − threshold)`.
-//!
-//! Datapoints present in the baseline but missing from the fresh report — and gated
-//! metrics that disappeared from a shared datapoint — count as coverage regressions and
-//! also fail the gate, with one exception: baseline datapoints whose verdict is `info`
-//! (informational context such as the host-dependent `estimate/simspeed` metric) are
-//! *skipped* when absent from the fresh report instead of failing it, so informational
-//! metrics can come and go without a lock-step baseline refresh. The skip is
-//! symmetric for shared datapoints: a gated metric may disappear when the datapoint is
-//! informational in *either* report (a checked baseline entry demoted to context in
-//! the fresh report is context all the same). Informational
-//! datapoints present in **both** reports are still compared on the gated metrics —
-//! the deterministic CPU/GPU/Ambit baselines and kernel timings are `info`-verdict and
-//! deliberately gated — which is why host-dependent metrics must use names outside the
-//! gated lists (the `host_*`/`*_per_host_s` convention). New datapoints are allowed
-//! (they will be gated once the baseline is refreshed). See README § "Evaluation
-//! pipeline" for the baseline-update (override) procedure.
+//! Every value of a `simdram-bench` report is deterministic (seeded Monte Carlo,
+//! analytic models, no host time), so two reports of the same code are identical. This
+//! prints every value that differs between the two reports — changed, missing or new —
+//! as `path: old -> new`, and exits non-zero if there is any. It uses the same
+//! comparison ([`simdram_bench::report::diff`]) as the golden-file test. See README §
+//! "Evaluation pipeline" for re-blessing the baseline after an intentional change.
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use simdram_bench::json::Json;
+use simdram_bench::report::diff;
 
-/// Metrics where a larger fresh value is a regression.
-const LOWER_IS_BETTER: [&str; 6] = [
-    "latency_ns",
-    "busy_latency_ns",
-    "energy_pj",
-    "energy_nj",
-    "time_ms",
-    "energy_mj",
-];
-
-/// Metrics where a smaller fresh value is a regression.
-const HIGHER_IS_BETTER: [&str; 6] = [
-    "throughput_gops",
-    "gops_per_watt",
-    "speedup",
-    "speedup_vs_cpu",
-    "speedup_vs_gpu",
-    "speedup_vs_ambit",
-];
-
-type Metrics = BTreeMap<String, f64>;
-
-/// One datapoint as loaded from a report: its metrics plus whether it is informational
-/// (`verdict: "info"`, i.e. context with no paper-expected range).
-struct Entry {
-    metrics: Metrics,
-    informational: bool,
-}
-
-fn load(path: &str) -> Result<BTreeMap<String, Entry>, String> {
+fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let json = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let version = json
-        .get("schema_version")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{path}: missing schema_version"))?;
-    if version != simdram_bench::report::SCHEMA_VERSION as f64 {
-        return Err(format!(
-            "{path}: schema_version {version} is not the supported {}",
-            simdram_bench::report::SCHEMA_VERSION
-        ));
-    }
-    let datapoints = json
-        .get("datapoints")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{path}: missing datapoints array"))?;
-    let mut index = BTreeMap::new();
-    for dp in datapoints {
-        let suite = dp
-            .get("suite")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}: datapoint without suite"))?;
-        let name = dp
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}: datapoint without name"))?;
-        let mut metrics = Metrics::new();
-        if let Some(members) = dp.get("metrics").and_then(Json::as_obj) {
-            for (key, value) in members {
-                if let Some(v) = value.as_f64() {
-                    metrics.insert(key.clone(), v);
-                }
-            }
-        }
-        let informational = dp.get("verdict").and_then(Json::as_str) == Some("info");
-        index.insert(
-            format!("{suite}/{name}"),
-            Entry {
-                metrics,
-                informational,
-            },
-        );
-    }
-    Ok(index)
-}
-
-struct Regression {
-    key: String,
-    metric: &'static str,
-    base: f64,
-    fresh: f64,
-}
-
-fn compare(
-    baseline: &BTreeMap<String, Entry>,
-    fresh: &BTreeMap<String, Entry>,
-    threshold: f64,
-) -> (Vec<Regression>, Vec<String>, Vec<String>) {
-    let mut regressions = Vec::new();
-    let mut missing = Vec::new();
-    let mut skipped = Vec::new();
-    for (key, base_entry) in baseline {
-        let base_metrics = &base_entry.metrics;
-        let Some(fresh_entry) = fresh.get(key) else {
-            // Informational context (e.g. host-dependent simulator-speed metrics) may
-            // come and go without a baseline refresh; only checked coverage is gated.
-            if base_entry.informational {
-                skipped.push(key.clone());
-            } else {
-                missing.push(key.clone());
-            }
-            continue;
-        };
-        let fresh_metrics = &fresh_entry.metrics;
-        for (metric, lower_is_better) in LOWER_IS_BETTER
-            .iter()
-            .map(|&m| (m, true))
-            .chain(HIGHER_IS_BETTER.iter().map(|&m| (m, false)))
-        {
-            let Some(&base) = base_metrics.get(metric) else {
-                continue;
-            };
-            let Some(&new) = fresh_metrics.get(metric) else {
-                // A gated metric that disappeared is a coverage loss, not a pass —
-                // unless the datapoint is informational on *either* side. The check is
-                // symmetric because a datapoint can change verdict across reports (a
-                // range demoted to context in the fresh report, or promoted in the
-                // baseline); informational context may reshape its metrics without a
-                // lock-step baseline refresh regardless of which report says so.
-                if base_entry.informational || fresh_entry.informational {
-                    skipped.push(format!("{key} [{metric}]"));
-                } else {
-                    missing.push(format!("{key} [{metric}]"));
-                }
-                continue;
-            };
-            let regressed = if lower_is_better {
-                base > 0.0 && new > base * (1.0 + threshold)
-            } else {
-                base > 0.0 && new < base * (1.0 - threshold)
-            };
-            if regressed {
-                regressions.push(Regression {
-                    key: key.clone(),
-                    metric,
-                    base,
-                    fresh: new,
-                });
-            }
-        }
-    }
-    (regressions, missing, skipped)
+    Json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths = Vec::new();
-    let mut threshold = 0.15;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--threshold" => {
-                i += 1;
-                threshold = match argv.get(i).map(|s| s.parse::<f64>()) {
-                    Some(Ok(t)) if t > 0.0 => t,
-                    _ => {
-                        eprintln!("--threshold requires a positive number");
-                        return ExitCode::from(64);
-                    }
-                };
-            }
-            other => paths.push(other.to_string()),
-        }
-        i += 1;
-    }
-    if paths.len() != 2 {
-        eprintln!("usage: bench_diff BASELINE.json FRESH.json [--threshold 0.15]");
+    let paths: Vec<String> = std::env::args().skip(1).collect();
+    let [old_path, new_path] = paths.as_slice() else {
+        eprintln!("usage: bench_diff OLD.json NEW.json");
         return ExitCode::from(64);
-    }
-
-    let (baseline, fresh) = match (load(&paths[0]), load(&paths[1])) {
-        (Ok(b), Ok(f)) => (b, f),
+    };
+    let (old, new) = match (load(old_path), load(new_path)) {
+        (Ok(old), Ok(new)) => (old, new),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-
-    let (regressions, missing, skipped) = compare(&baseline, &fresh, threshold);
-    for key in &skipped {
-        println!("SKIPPED {key}: informational in baseline, absent from fresh report");
+    let changes = diff(&old, &new);
+    for change in &changes {
+        println!("{change}");
     }
-    for key in &missing {
-        println!("MISSING {key}: present in baseline, absent from fresh report");
-    }
-    for r in &regressions {
-        let delta = (r.fresh / r.base - 1.0) * 100.0;
-        println!(
-            "REGRESSION {} [{}]: {} -> {} ({:+.1}%)",
-            r.key, r.metric, r.base, r.fresh, delta
-        );
-    }
-    if regressions.is_empty() && missing.is_empty() {
-        println!(
-            "perf gate: {} baseline datapoints compared, none regressed beyond {:.0}%",
-            baseline.len(),
-            threshold * 100.0
-        );
+    if changes.is_empty() {
+        println!("bench_diff: {new_path} is identical to {old_path}");
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "perf gate: {} regression(s), {} missing datapoint(s) (threshold {:.0}%); \
-             see README \"Evaluation pipeline\" for the baseline override procedure",
-            regressions.len(),
-            missing.len(),
-            threshold * 100.0
+            "bench_diff: {} value(s) differ from {old_path}; see README \"Evaluation \
+             pipeline\" to re-bless the baseline after an intentional change",
+            changes.len()
         );
         ExitCode::FAILURE
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn entry(informational: bool, metrics: &[(&str, f64)]) -> Entry {
-        Entry {
-            metrics: metrics.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
-            informational,
-        }
-    }
-
-    fn report(entries: Vec<(&str, Entry)>) -> BTreeMap<String, Entry> {
-        entries
-            .into_iter()
-            .map(|(k, e)| (k.to_string(), e))
-            .collect()
-    }
-
-    #[test]
-    fn informational_baseline_entries_are_skipped_when_dropped() {
-        let baseline = report(vec![
-            ("estimate/simspeed", entry(true, &[("latency_ns", 5.0)])),
-            (
-                "estimate/machine_totals",
-                entry(false, &[("busy_latency_ns", 10.0)]),
-            ),
-        ]);
-        let fresh = report(vec![(
-            "estimate/machine_totals",
-            entry(false, &[("busy_latency_ns", 10.0)]),
-        )]);
-        let (regressions, missing, skipped) = compare(&baseline, &fresh, 0.15);
-        assert!(regressions.is_empty());
-        assert!(missing.is_empty());
-        assert_eq!(skipped, vec!["estimate/simspeed".to_string()]);
-    }
-
-    #[test]
-    fn checked_baseline_entries_still_fail_when_dropped() {
-        let baseline = report(vec![(
-            "kernels/add32",
-            entry(false, &[("latency_ns", 10.0)]),
-        )]);
-        let fresh = report(vec![]);
-        let (_, missing, skipped) = compare(&baseline, &fresh, 0.15);
-        assert_eq!(missing, vec!["kernels/add32".to_string()]);
-        assert!(skipped.is_empty());
-    }
-
-    #[test]
-    fn dropped_gated_metric_is_skipped_only_for_informational_datapoints() {
-        let baseline = report(vec![
-            ("a/info", entry(true, &[("latency_ns", 5.0), ("x", 1.0)])),
-            ("a/checked", entry(false, &[("latency_ns", 5.0)])),
-        ]);
-        let fresh = report(vec![
-            ("a/info", entry(true, &[("x", 1.0)])),
-            ("a/checked", entry(false, &[("x", 2.0)])),
-        ]);
-        let (_, missing, skipped) = compare(&baseline, &fresh, 0.15);
-        assert_eq!(skipped, vec!["a/info [latency_ns]".to_string()]);
-        assert_eq!(missing, vec!["a/checked [latency_ns]".to_string()]);
-    }
-
-    #[test]
-    fn dropped_gated_metric_honors_informational_verdict_on_either_side() {
-        // The info skip must be symmetric: a datapoint demoted to informational in the
-        // fresh report (checked in the baseline) may drop a gated metric without
-        // failing the gate, exactly like one that was informational in the baseline.
-        let baseline = report(vec![
-            (
-                "a/demoted",
-                entry(false, &[("latency_ns", 5.0), ("x", 1.0)]),
-            ),
-            ("a/promoted", entry(true, &[("latency_ns", 5.0)])),
-        ]);
-        let fresh = report(vec![
-            ("a/demoted", entry(true, &[("x", 1.0)])),
-            ("a/promoted", entry(false, &[("x", 2.0)])),
-        ]);
-        let (regressions, missing, skipped) = compare(&baseline, &fresh, 0.15);
-        assert!(regressions.is_empty());
-        assert!(missing.is_empty());
-        assert_eq!(
-            skipped,
-            vec![
-                "a/demoted [latency_ns]".to_string(),
-                "a/promoted [latency_ns]".to_string(),
-            ]
-        );
-    }
-
-    #[test]
-    fn regressions_respect_direction_and_threshold() {
-        let baseline = report(vec![(
-            "k/dp",
-            entry(false, &[("latency_ns", 100.0), ("throughput_gops", 10.0)]),
-        )]);
-        let fresh = report(vec![(
-            "k/dp",
-            entry(false, &[("latency_ns", 120.0), ("throughput_gops", 8.0)]),
-        )]);
-        let (regressions, missing, skipped) = compare(&baseline, &fresh, 0.15);
-        assert!(missing.is_empty() && skipped.is_empty());
-        let names: Vec<&str> = regressions.iter().map(|r| r.metric).collect();
-        assert_eq!(names, vec!["latency_ns", "throughput_gops"]);
-        // Within threshold: no regression.
-        let fresh_ok = report(vec![(
-            "k/dp",
-            entry(false, &[("latency_ns", 110.0), ("throughput_gops", 9.0)]),
-        )]);
-        let (regressions, _, _) = compare(&baseline, &fresh_ok, 0.15);
-        assert!(regressions.is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Minimal hand-rolled JSON value, writer and parser (no external dependencies).
 //!
 //! The `simdram-bench` pipeline serializes its reports to a versioned JSON schema and
-//! the `bench_diff` perf gate parses them back; this module provides exactly the JSON
+//! the `bench_diff` differ parses them back; this module provides exactly the JSON
 //! subset both need, with two properties the golden-file tests rely on:
 //!
 //! * **Deterministic output** — object members keep insertion order, numbers that are

@@ -8,8 +8,10 @@
 //! ```
 //!
 //! The former one-off `fig_*`/`tab_*` binaries are now [`suites`] (see the table there
-//! for the suite ↔ paper-figure mapping). The `bench_diff` companion binary compares two
-//! reports and fails on latency/energy regressions — the CI perf gate.
+//! for the suite ↔ paper-figure mapping). Every value is deterministic, so the committed
+//! `baseline.json` is compared exactly: by the golden-file test in tier-1, and by the
+//! `bench_diff` companion binary, which fails on any changed, missing or new value
+//! ([`report::diff`]).
 //!
 //! The crate is structured as:
 //!

@@ -4,13 +4,17 @@
 //! Every suite produces a list of [`Datapoint`]s; each datapoint carries its measured
 //! metrics plus, where the paper pins down an expected magnitude, an [`Expected`] range
 //! on one of those metrics. The verdict is computed at construction time, so a report is
-//! self-describing: CI fails when any datapoint's verdict is `"fail"`, and the
-//! `bench_diff` gate compares metric values across two reports.
+//! self-describing: CI fails when any datapoint's verdict is `"fail"`. Every value is
+//! deterministic, so [`diff`] compares two serialized reports exactly; `bench_diff` and
+//! the golden-file test both print its output.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use crate::json::Json;
 
 /// Version of the JSON schema emitted by [`BenchReport::to_json`]. Bump only with a
-/// matching update to the golden-file test and `bench_diff`.
+/// matching update to the golden-file test and a re-blessed `baseline.json`.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// How a datapoint compares to its paper-expected range.
@@ -180,6 +184,92 @@ impl BenchReport {
     }
 }
 
+/// One value that differs between two serialized reports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Change {
+    /// Where the value sits: object members joined by `.`, datapoints addressed as
+    /// `datapoints[<suite>/<name>]`, other array items by index
+    /// (e.g. `datapoints[kernels/knn].metrics.speedup_vs_cpu`).
+    pub path: String,
+    /// The old report's value as serialized, `None` when the path is new.
+    pub old: Option<String>,
+    /// The new report's value as serialized, `None` when the path is missing.
+    pub new: Option<String>,
+}
+
+impl fmt::Display for Change {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let show = |v: &Option<String>| v.as_deref().unwrap_or("(absent)").to_string();
+        let (old, new) = (show(&self.old), show(&self.new));
+        write!(f, "{}: {old} -> {new}", self.path)
+    }
+}
+
+/// Every value that differs between two serialized reports — changed, missing from
+/// `new` or new in it — in `old`'s document order, then `new`'s additions. Values are
+/// compared as serialized, so any change to a number, however small, is reported.
+pub fn diff(old: &Json, new: &Json) -> Vec<Change> {
+    let (mut old_values, mut new_values) = (Vec::new(), Vec::new());
+    flatten(old, String::new(), &mut old_values);
+    flatten(new, String::new(), &mut new_values);
+    let old_paths: BTreeSet<&str> = old_values.iter().map(|(p, _)| p.as_str()).collect();
+    let new_index: BTreeMap<&str, &str> = new_values
+        .iter()
+        .map(|(p, v)| (p.as_str(), v.as_str()))
+        .collect();
+    let mut changes = Vec::new();
+    for (path, value) in &old_values {
+        match new_index.get(path.as_str()) {
+            Some(fresh) if *fresh == value => {}
+            fresh => changes.push(Change {
+                path: path.clone(),
+                old: Some(value.clone()),
+                new: fresh.map(|v| v.to_string()),
+            }),
+        }
+    }
+    for (path, value) in &new_values {
+        if !old_paths.contains(path.as_str()) {
+            changes.push(Change {
+                path: path.clone(),
+                old: None,
+                new: Some(value.clone()),
+            });
+        }
+    }
+    changes
+}
+
+/// Appends every leaf (scalar, or empty object/array) under `value` as
+/// `(path, serialized value)`.
+fn flatten(value: &Json, path: String, out: &mut Vec<(String, String)>) {
+    match value {
+        Json::Obj(members) if !members.is_empty() => {
+            for (key, member) in members {
+                let child = if path.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{path}.{key}")
+                };
+                flatten(member, child, out);
+            }
+        }
+        Json::Arr(items) if !items.is_empty() => {
+            for (index, item) in items.iter().enumerate() {
+                let key = match (
+                    item.get("suite").and_then(Json::as_str),
+                    item.get("name").and_then(Json::as_str),
+                ) {
+                    (Some(suite), Some(name)) => format!("{suite}/{name}"),
+                    _ => index.to_string(),
+                };
+                flatten(item, format!("{path}[{key}]"), out);
+            }
+        }
+        leaf => out.push((path, leaf.to_pretty_string().trim_end().to_string())),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,5 +315,73 @@ mod tests {
         let text = json.to_pretty_string();
         assert_eq!(Json::parse(&text).unwrap().to_pretty_string(), text);
         assert!(report.failures().is_empty());
+    }
+
+    fn two_point_report() -> BenchReport {
+        BenchReport {
+            suites: vec!["s"],
+            datapoints: vec![
+                Datapoint::checked("s", "a".into(), vec![("x", 5.0)], expected("x", 1.0, 10.0)),
+                Datapoint::info("s", "b".into(), vec![("y", 2.0)]),
+            ],
+        }
+    }
+
+    fn diff_lines(old: &BenchReport, new: &BenchReport) -> Vec<String> {
+        diff(&old.to_json(), &new.to_json())
+            .iter()
+            .map(Change::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn identical_reports_have_no_diff() {
+        let json = two_point_report().to_json();
+        let reparsed = Json::parse(&json.to_pretty_string()).unwrap();
+        assert!(diff(&json, &reparsed).is_empty());
+    }
+
+    #[test]
+    fn diff_reports_a_one_ulp_change_as_old_to_new() {
+        let old = two_point_report();
+        let mut new = two_point_report();
+        new.datapoints[1].metrics[0].1 = f64::from_bits(2.0f64.to_bits() + 1);
+        assert_eq!(
+            diff_lines(&old, &new),
+            vec!["datapoints[s/b].metrics.y: 2 -> 2.0000000000000004"]
+        );
+    }
+
+    #[test]
+    fn diff_reports_missing_and_new_values_whatever_the_verdict() {
+        let old = two_point_report();
+        let mut new = two_point_report();
+        // The checked datapoint loses its metric (and so its pass verdict); the info
+        // datapoint disappears; a new metric and a new datapoint appear.
+        new.datapoints[0] =
+            Datapoint::checked("s", "a".into(), vec![("z", 1.0)], expected("x", 1.0, 10.0));
+        new.datapoints.pop();
+        new.datapoints
+            .push(Datapoint::info("s", "c".into(), vec![("w", 3.0)]));
+        assert_eq!(
+            diff_lines(&old, &new),
+            vec![
+                "datapoints[s/a].metrics.x: 5 -> (absent)",
+                "datapoints[s/a].verdict: \"pass\" -> \"fail\"",
+                "datapoints[s/b].suite: \"s\" -> (absent)",
+                "datapoints[s/b].name: \"b\" -> (absent)",
+                "datapoints[s/b].metrics.y: 2 -> (absent)",
+                "datapoints[s/b].expected: null -> (absent)",
+                "datapoints[s/b].verdict: \"info\" -> (absent)",
+                "summary.pass: 1 -> 0",
+                "summary.fail: 0 -> 1",
+                "datapoints[s/a].metrics.z: (absent) -> 1",
+                "datapoints[s/c].suite: (absent) -> \"s\"",
+                "datapoints[s/c].name: (absent) -> \"c\"",
+                "datapoints[s/c].metrics.w: (absent) -> 3",
+                "datapoints[s/c].expected: (absent) -> null",
+                "datapoints[s/c].verdict: (absent) -> \"info\"",
+            ]
+        );
     }
 }

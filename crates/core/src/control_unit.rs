@@ -78,11 +78,6 @@ impl ControlUnit {
         self.library.len()
     }
 
-    /// Number of compiled word-level kernels resident alongside the μPrograms.
-    pub fn resident_compiled(&self) -> usize {
-        self.library.compiled_len()
-    }
-
     /// Looks up (or generates and caches) the μProgram for `op` at `width` bits.
     pub fn microprogram(&mut self, op: Operation, width: usize) -> &MicroProgram {
         self.library.get_or_build(self.target, op, width)

@@ -24,7 +24,7 @@
 
 use std::num::NonZeroUsize;
 
-use simdram_dram::{CommandTrace, DramDevice, Subarray};
+use simdram_dram::{DramDevice, Subarray};
 
 use crate::error::{CoreError, Result};
 
@@ -221,34 +221,6 @@ impl BroadcastExecutor {
                 run_threaded(subarrays, max_threads, &kernel)
             }
         }
-    }
-
-    /// Like [`BroadcastExecutor::broadcast`], but wraps the kernel in the standard
-    /// command-accounting protocol every machine-level broadcast follows: the subarray's
-    /// trace is marked before the kernel runs, the commands it issued are returned as a
-    /// self-contained local [`CommandTrace`] per chunk (in chunk order), and the
-    /// subarray's own per-command history is drained so long-running machines stay
-    /// bounded (aggregate counters survive the drain).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same errors as [`BroadcastExecutor::broadcast`].
-    pub fn broadcast_traced<F>(
-        &self,
-        device: &mut DramDevice,
-        coords: &[(usize, usize)],
-        kernel: F,
-    ) -> Result<Vec<CommandTrace>>
-    where
-        F: Fn(usize, &mut Subarray) -> Result<()> + Sync,
-    {
-        self.broadcast(device, coords, |chunk, sa| {
-            let mark = sa.trace_mark();
-            kernel(chunk, sa)?;
-            let local = sa.trace_since(mark);
-            sa.drain_trace();
-            Ok(local)
-        })
     }
 }
 

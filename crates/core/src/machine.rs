@@ -757,27 +757,19 @@ impl SimdramMachine {
     /// Fills every element of `vector` with `value`, using row-wide copies from the control
     /// rows (`C0`/`C1`), one AAP per destination bit-row per subarray.
     ///
+    /// Like [`SimdramMachine::execute`], this runs a one-node [`Plan`] (a
+    /// [`PlanBuilder::constant`] stored into `vector`), so it is issued, guarded and
+    /// accounted exactly like a plan's constant step.
+    ///
     /// # Errors
     ///
-    /// Returns an error if the vector's rows lie outside the device.
+    /// Returns [`CoreError::SubarrayOverflow`] when the vector spans more subarrays than
+    /// the machine has, or a substrate error.
     pub fn init(&mut self, vector: &SimdVector, value: u64) -> Result<()> {
-        let coords = self.compute_coords(self.subarrays_for(vector.len()))?;
-        let width = vector.width();
-        let base_row = vector.base_row();
-        let traces = self
-            .executor
-            .broadcast_traced(&mut self.device, &coords, |_, sa| {
-                for bit in 0..width {
-                    let src = if (value >> bit) & 1 == 1 {
-                        RowAddr::BGroup(BGroupRow::C1)
-                    } else {
-                        RowAddr::BGroup(BGroupRow::C0)
-                    };
-                    sa.aap(src, RowAddr::Data(base_row + bit))?;
-                }
-                Ok(())
-            })?;
-        self.absorb_chunk_traces(&traces);
+        let mut builder = PlanBuilder::new();
+        let constant = builder.constant(vector.width(), vector.len(), value)?;
+        builder.store(constant, vector)?;
+        self.run_plan(&builder.compile()?)?;
         Ok(())
     }
 
@@ -854,27 +846,29 @@ impl SimdramMachine {
     /// never moving the data over the memory channel.
     ///
     /// This is the bulk-copy primitive the paper inherits from RowClone: initializing or
-    /// duplicating operands costs row activations only.
+    /// duplicating operands costs row activations only. Like
+    /// [`SimdramMachine::execute`], it runs a one-node [`Plan`] (the copy step a plan
+    /// inserts to de-alias `add(x, x)`), stored into a fresh vector.
     ///
     /// # Errors
     ///
-    /// Propagates allocation and substrate errors.
+    /// Propagates allocation and substrate errors; the destination is freed on error.
     pub fn copy(&mut self, src: &SimdVector) -> Result<SimdVector> {
         let dst = self.alloc(src.width(), src.len())?;
-        let coords = self.compute_coords(self.subarrays_for(src.len()))?;
-        let width = src.width();
-        let src_base = src.base_row();
-        let dst_base = dst.base_row();
-        let traces = self
-            .executor
-            .broadcast_traced(&mut self.device, &coords, |_, sa| {
-                for bit in 0..width {
-                    sa.aap(RowAddr::Data(src_base + bit), RowAddr::Data(dst_base + bit))?;
-                }
-                Ok(())
-            })?;
-        self.absorb_chunk_traces(&traces);
-        Ok(dst)
+        let mut builder = PlanBuilder::new();
+        let input = builder.input(src);
+        let run = builder
+            .copy(input)
+            .and_then(|copied| builder.store(copied, &dst))
+            .and_then(|()| builder.compile())
+            .and_then(|plan| self.run_plan(&plan));
+        match run {
+            Ok(_) => Ok(dst),
+            Err(err) => {
+                self.free(dst);
+                Err(err)
+            }
+        }
     }
 
     /// Returns a *view* of `vector` logically right-shifted by `bits` (dropping its low
@@ -1542,18 +1536,6 @@ impl SimdramMachine {
         Ok(reports)
     }
 
-    /// Merges per-chunk traces into the functional device statistics **in chunk order**
-    /// (the executor already returns them ordered), keeping even floating-point sums
-    /// identical between execution policies, and folds the broadcast through the
-    /// estimation engine into the cumulative [`MachineEstimate`].
-    fn absorb_chunk_traces(&mut self, traces: &[CommandTrace]) {
-        for trace in traces {
-            self.functional_stats.absorb_trace(trace);
-        }
-        let estimate = self.estimate_broadcast(traces);
-        self.machine_estimate.record(&estimate);
-    }
-
     /// Folds one broadcast's per-chunk traces into an estimate: the analytic numbers,
     /// plus the bank-state replay of the same traces under
     /// [`TimingBackendKind::BankState`].
@@ -1567,35 +1549,18 @@ impl SimdramMachine {
         elements.div_ceil(self.lanes_per_subarray()).max(1)
     }
 
-    /// Maps chunk indices `0..chunks` to `(bank, subarray)` coordinates for a broadcast.
+    /// Maps chunk indices `offset..offset + chunks` (a placement's window) to
+    /// `(bank, subarray)` coordinates for a broadcast.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::SubarrayOverflow`] when the broadcast needs more subarrays
-    /// than `compute_banks × compute_subarrays_per_bank` provides.
-    fn compute_coords(&self, chunks: usize) -> Result<Vec<(usize, usize)>> {
-        let available = self.config.compute_banks * self.config.compute_subarrays_per_bank;
-        if chunks > available {
-            // Report the full requirement, not the first failing chunk, so a user can
-            // size the configuration from the message in one step.
-            return Err(CoreError::SubarrayOverflow {
-                needed: chunks,
-                available,
-            });
-        }
-        (0..chunks).map(|i| self.subarray_coordinates(i)).collect()
-    }
-
-    /// Maps chunk indices `offset..offset + chunks` to `(bank, subarray)` coordinates,
-    /// i.e. [`compute_coords`](Self::compute_coords) shifted to a reservation's window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::SubarrayOverflow`] when the shifted window runs past
+    /// Returns [`CoreError::SubarrayOverflow`] when the window runs past
     /// `compute_banks × compute_subarrays_per_bank`.
     fn compute_coords_at(&self, offset: usize, chunks: usize) -> Result<Vec<(usize, usize)>> {
         let available = self.config.compute_banks * self.config.compute_subarrays_per_bank;
         if offset + chunks > available {
+            // Report the full requirement, not the first failing chunk, so a user can
+            // size the configuration from the message in one step.
             return Err(CoreError::SubarrayOverflow {
                 needed: offset + chunks,
                 available,
@@ -1797,9 +1762,9 @@ mod tests {
                 available: 4
             })
         );
-        // compute_coords reports the full requirement, not the first failing chunk.
+        // compute_coords_at reports the full requirement, not the first failing chunk.
         assert!(matches!(
-            m.compute_coords(6),
+            m.compute_coords_at(0, 6),
             Err(CoreError::SubarrayOverflow {
                 needed: 6,
                 available: 4

@@ -656,6 +656,18 @@ impl PlanBuilder {
         .node
     }
 
+    /// A RowClone copy of `src` — the step [`PlanBuilder::apply`] inserts to de-alias
+    /// `add(x, x)`, exposed for the eager [`crate::SimdramMachine::copy`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Shape`] when `src` belongs to another builder.
+    pub(crate) fn copy(&mut self, src: Expr) -> Result<Expr> {
+        let src = self.check(src)?;
+        let node = self.copy_of(src);
+        Ok(self.expr(node))
+    }
+
     /// Two-operand operation sugar over [`PlanBuilder::apply`].
     ///
     /// # Errors

@@ -23,6 +23,8 @@
 //!   back-to-back; `N` devices run theirs concurrently, which is where the modeled
 //!   throughput scaling comes from.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use simdram_dram::stats::DeviceStats;
 use simdram_logic::Operation;
 
@@ -32,6 +34,9 @@ use crate::estimate::{BroadcastEstimate, MachineEstimate};
 use crate::guard::FaultLog;
 use crate::layout::SimdVector;
 use crate::machine::SimdramMachine;
+
+/// Monotonic id source so a [`ShardedVector`] cannot be used on another fleet.
+static NEXT_FLEET_ID: AtomicU64 = AtomicU64::new(0);
 
 /// How a [`ShardedMachine`] assigns vector elements to devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,10 +167,13 @@ pub struct MovementTotals {
 ///
 /// Treat it as an opaque handle (like [`SimdVector`]): obtain it from
 /// [`ShardedMachine::alloc_and_write`] or an operation, read it back with
-/// [`ShardedMachine::read`], release it with [`ShardedMachine::free`].
+/// [`ShardedMachine::read`], release it with [`ShardedMachine::free`]. A handle only
+/// works on the fleet that made it.
 #[derive(Debug)]
 pub struct ShardedVector {
     id: u64,
+    /// The id of the [`ShardedMachine`] that made the vector.
+    fleet: u64,
     width: usize,
     len: usize,
     map: ShardMap,
@@ -188,11 +196,6 @@ impl ShardedVector {
     /// True when the vector holds no elements (never produced by this module).
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The vector's placement map.
-    pub fn shard_map(&self) -> ShardMap {
-        self.map
     }
 
     /// Unique handle id within its machine.
@@ -288,6 +291,7 @@ impl FleetEstimate {
 /// ```
 #[derive(Debug)]
 pub struct ShardedMachine {
+    id: u64,
     devices: Vec<SimdramMachine>,
     policy: ShardPolicy,
     link: LinkModel,
@@ -318,6 +322,7 @@ impl ShardedMachine {
             .map(|_| SimdramMachine::new(config.clone()))
             .collect::<Result<Vec<_>>>()?;
         Ok(ShardedMachine {
+            id: NEXT_FLEET_ID.fetch_add(1, Ordering::Relaxed),
             devices,
             policy,
             link,
@@ -348,16 +353,44 @@ impl ShardedMachine {
         d.lanes_per_subarray() * d.compute_chunks()
     }
 
-    /// The fleet's default shard map for `len`-agnostic placement questions.
-    pub fn shard_map(&self) -> ShardMap {
-        self.map(self.policy)
-    }
-
     /// The shard map of `policy` over this fleet, which is never empty.
     fn map(&self, policy: ShardPolicy) -> ShardMap {
         ShardMap {
             devices: self.devices.len(),
             policy,
+        }
+    }
+
+    /// Stamps a new handle with the next vector id and this fleet's id.
+    fn mint(
+        &mut self,
+        width: usize,
+        len: usize,
+        map: ShardMap,
+        parts: Vec<Vec<SimdVector>>,
+    ) -> ShardedVector {
+        let id = self.next_id;
+        self.next_id += 1;
+        ShardedVector {
+            id,
+            fleet: self.id,
+            width,
+            len,
+            map,
+            parts,
+        }
+    }
+
+    /// Rejects a handle made by another fleet: its parts name that fleet's devices
+    /// and rows.
+    fn check(&self, vector: &ShardedVector) -> Result<()> {
+        if vector.fleet == self.id {
+            Ok(())
+        } else {
+            Err(CoreError::InvalidHandle(format!(
+                "sharded vector {} belongs to another fleet",
+                vector.id
+            )))
         }
     }
 
@@ -405,23 +438,17 @@ impl ShardedMachine {
             }
             parts.push(waves);
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        Ok(ShardedVector {
-            id,
-            width,
-            len: values.len(),
-            map,
-            parts,
-        })
+        Ok(self.mint(width, values.len(), map, parts))
     }
 
     /// Reads the vector back in global element order.
     ///
     /// # Errors
     ///
-    /// Propagates device-level read errors.
+    /// Returns [`CoreError::InvalidHandle`] for another fleet's vector, plus any
+    /// device-level read error.
     pub fn read(&mut self, vector: &ShardedVector) -> Result<Vec<u64>> {
+        self.check(vector)?;
         let mut out = vec![0u64; vector.len];
         let wave = self.wave_capacity();
         for (rank, indices) in vector.map.partition(vector.len).into_iter().enumerate() {
@@ -435,8 +462,12 @@ impl ShardedMachine {
         Ok(out)
     }
 
-    /// Releases every device-local wave of the vector.
+    /// Releases every device-local wave of the vector. Another fleet's vector is
+    /// ignored: its rows are not this fleet's to free.
     pub fn free(&mut self, vector: ShardedVector) {
+        if self.check(&vector).is_err() {
+            return;
+        }
         for (rank, waves) in vector.parts.into_iter().enumerate() {
             for wave in waves {
                 self.devices[rank].free(wave);
@@ -450,14 +481,17 @@ impl ShardedMachine {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Shape`] on width/length mismatch, plus any device-level
-    /// execution error.
+    /// Returns [`CoreError::InvalidHandle`] for another fleet's operand,
+    /// [`CoreError::Shape`] on width/length mismatch, plus any device-level execution
+    /// error.
     pub fn binary(
         &mut self,
         op: Operation,
         a: &ShardedVector,
         b: &ShardedVector,
     ) -> Result<ShardedVector> {
+        self.check(a)?;
+        self.check(b)?;
         if a.width != b.width {
             return Err(CoreError::Shape(format!(
                 "sharded operand widths differ: {} vs {} bits",
@@ -496,23 +530,17 @@ impl ShardedMachine {
             }
             parts.push(waves);
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        Ok(ShardedVector {
-            id,
-            width: op.output_width(a.width),
-            len: a.len,
-            map: a.map,
-            parts,
-        })
+        Ok(self.mint(op.output_width(a.width), a.len, a.map, parts))
     }
 
     /// Elementwise unary bbop across the fleet (always device-local).
     ///
     /// # Errors
     ///
-    /// Propagates device-level execution errors.
+    /// Returns [`CoreError::InvalidHandle`] for another fleet's vector, plus any
+    /// device-level execution error.
     pub fn unary(&mut self, op: Operation, a: &ShardedVector) -> Result<ShardedVector> {
+        self.check(a)?;
         let mut parts: Vec<Vec<SimdVector>> = Vec::with_capacity(self.devices.len());
         for rank in 0..self.devices.len() {
             let mut waves = Vec::with_capacity(a.parts[rank].len());
@@ -522,15 +550,7 @@ impl ShardedMachine {
             }
             parts.push(waves);
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        Ok(ShardedVector {
-            id,
-            width: op.output_width(a.width),
-            len: a.len,
-            map: a.map,
-            parts,
-        })
+        Ok(self.mint(op.output_width(a.width), a.len, a.map, parts))
     }
 
     /// Re-places a vector under `policy`, charging the link for every element whose
@@ -539,12 +559,14 @@ impl ShardedMachine {
     ///
     /// # Errors
     ///
-    /// Propagates device-level read/alloc errors.
+    /// Returns [`CoreError::InvalidHandle`] for another fleet's vector (before any
+    /// movement is charged), plus any device-level read/alloc error.
     pub fn reshard(
         &mut self,
         vector: &ShardedVector,
         policy: ShardPolicy,
     ) -> Result<ShardedVector> {
+        self.check(vector)?;
         let target = self.map(policy);
         let moved = vector.map.crossing_elements(&target, vector.len);
         if moved > 0 {
@@ -640,6 +662,44 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn shard_policies_place_elements_as_documented() {
+        let owners = |policy| {
+            let map = ShardMap::new(2, policy).unwrap();
+            (0..5).map(|i| map.device_of(i, 5)).collect::<Vec<_>>()
+        };
+        assert_eq!(owners(ShardPolicy::Contiguous), vec![0, 0, 0, 1, 1]);
+        assert_eq!(owners(ShardPolicy::Interleaved), vec![0, 1, 0, 1, 0]);
+    }
+
+    #[test]
+    fn foreign_handles_are_rejected_not_indexed() {
+        let invalid = |r: Result<ShardedVector>| matches!(r, Err(CoreError::InvalidHandle(_)));
+        for policy in [ShardPolicy::Contiguous, ShardPolicy::Interleaved] {
+            let mut two = fleet(2, policy);
+            let foreign = two.alloc_and_write(8, &[1, 2, 3, 4, 5]).unwrap();
+            // A narrower fleet used to index past its devices; a same-width twin used
+            // to read its own rows back as if they were the foreign vector's.
+            for devices in [1, 2] {
+                let mut other = fleet(devices, policy);
+                let local = other.alloc_and_write(8, &[9, 9, 9, 9, 9]).unwrap();
+                assert!(matches!(
+                    other.read(&foreign),
+                    Err(CoreError::InvalidHandle(_))
+                ));
+                assert!(invalid(other.unary(Operation::Abs, &foreign)));
+                assert!(invalid(other.binary(Operation::Add, &foreign, &local)));
+                assert!(invalid(other.binary(Operation::Add, &local, &foreign)));
+                assert!(invalid(other.reshard(&foreign, ShardPolicy::Interleaved)));
+                assert_eq!(other.movement(), MovementTotals::default());
+                let stray = two.alloc_and_write(8, &[7]).unwrap();
+                other.free(stray);
+                assert_eq!(other.read(&local).unwrap(), vec![9; 5]);
+            }
+            assert_eq!(two.read(&foreign).unwrap(), vec![1, 2, 3, 4, 5]);
         }
     }
 

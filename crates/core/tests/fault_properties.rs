@@ -15,7 +15,8 @@
 
 use proptest::prelude::*;
 use simdram_core::{
-    ExecutionPolicy, FaultModel, FunctionalMode, GuardMode, SimdramConfig, SimdramMachine,
+    ExecutionPolicy, FaultModel, FunctionalMode, GuardMode, PlanBuilder, SimdramConfig,
+    SimdramMachine,
 };
 use simdram_logic::Operation;
 
@@ -188,4 +189,45 @@ fn recovery_path_is_exercised_and_recovers_bit_identically() {
     assert!(log.retries >= u64::from(log.recovered > 0));
     assert!(log.backoff_ns > 0.0);
     assert!(m.quarantined_chunks().is_empty());
+}
+
+/// Eager `init` and `copy` run as one-node plans, so the guard covers them exactly as it
+/// covers a plan's constant and copy steps: one dataflow, issued eagerly or as one
+/// plan, costs the same commands.
+#[test]
+fn eager_init_and_copy_are_guarded_like_plan_steps() {
+    let guarded = || {
+        machine_with(
+            FunctionalMode::Interpreted,
+            ExecutionPolicy::Sequential,
+            FaultModel::Off,
+            GuardMode::redundant(),
+        )
+    };
+    let (values, _) = operands(0xB0B, 1, 8, 300);
+
+    let mut eager = guarded();
+    let a = eager.alloc_and_write(8, &values).unwrap();
+    let k = eager.alloc(8, values.len()).unwrap();
+    eager.init(&k, 5).unwrap();
+    let (sum, _) = eager.binary(Operation::Add, &a, &k).unwrap();
+    let sum_copy = eager.copy(&sum).unwrap();
+    let (eager_out, _) = eager.binary(Operation::Add, &sum, &sum_copy).unwrap();
+
+    let mut planned = guarded();
+    let a = planned.alloc_and_write(8, &values).unwrap();
+    let mut builder = PlanBuilder::new();
+    let x = builder.input(&a);
+    let k = builder.constant(8, values.len(), 5).unwrap();
+    let sum = builder.add(x, k).unwrap();
+    // `add(sum, sum)` reads an inserted RowClone copy of `sum`.
+    let doubled = builder.add(sum, sum).unwrap();
+    let out = builder.materialize(doubled).unwrap();
+    let exec = planned.run_plan(&builder.compile().unwrap()).unwrap();
+
+    assert_eq!(
+        eager.read(&eager_out).unwrap(),
+        planned.read(exec.output(out)).unwrap()
+    );
+    assert_eq!(eager.device_stats(), planned.device_stats());
 }

@@ -71,11 +71,6 @@ impl Bank {
         self.subarrays.iter_mut()
     }
 
-    /// The bank's subarrays as a mutable slice, for slice-splitting borrows.
-    pub fn subarrays_mut_slice(&mut self) -> &mut [Subarray] {
-        &mut self.subarrays
-    }
-
     /// Borrows several subarrays mutably at once, one `&mut` per index in `indices`,
     /// returned in request order.
     ///

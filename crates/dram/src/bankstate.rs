@@ -331,11 +331,6 @@ impl BankStateModel {
         &self.timing
     }
 
-    /// The bank-interaction timing model.
-    pub fn bank_timing(&self) -> &BankTiming {
-        &self.bank
-    }
-
     /// Replays one broadcast's per-chunk traces against per-bank state, returning the
     /// modeled busy window and its decomposition.
     ///

@@ -58,12 +58,6 @@ impl DeviceStats {
         self.total_energy_nj
     }
 
-    /// Sum of command energies in picojoules (the unit the paper's per-bbop energy
-    /// figures and the `simdram-bench` JSON reports use).
-    pub fn total_energy_pj(&self) -> f64 {
-        self.total_energy_nj * 1e3
-    }
-
     /// Adds `n` injected-fault bit flips to the aggregate (see
     /// [`crate::Subarray::faults_injected`]).
     pub fn add_injected_faults(&mut self, n: u64) {

@@ -1041,11 +1041,6 @@ impl Subarray {
         self.faults = state;
     }
 
-    /// The installed fault stream, if any.
-    pub fn fault_state(&self) -> Option<&FaultState> {
-        self.faults.as_ref()
-    }
-
     /// Bits flipped by fault injection in this subarray so far (0 with faults off).
     pub fn faults_injected(&self) -> u64 {
         self.faults.as_ref().map_or(0, FaultState::injected)

@@ -112,20 +112,10 @@ impl PlanServer {
         self.now_ns
     }
 
-    /// Jobs queued across all tenants (excluding completed ones).
-    pub fn pending_jobs(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-
     /// Every dispatch window run so far, with its placements — the ground truth the
     /// packing property tests check disjointness against.
     pub fn window_log(&self) -> &[WindowRecord] {
         &self.window_log
-    }
-
-    /// Tears the server down, returning the machine (staged inputs stay allocated).
-    pub fn into_machine(self) -> SimdramMachine {
-        self.machine
     }
 
     fn tenant(&self, tenant: TenantId) -> Result<usize> {

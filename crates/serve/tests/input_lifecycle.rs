@@ -1,9 +1,10 @@
 //! Regression tests for the staged-input lifecycle: a tenant must not be able to
 //! free an input out from under a queued plan (the write_input → submit →
-//! release_input → run_window sequence used to panic the whole server), and the
-//! scheduler must clamp hostile tenant specs.
+//! release_input → run_window sequence used to panic the whole server), the
+//! scheduler must clamp hostile tenant specs, and per-tenant limits must reject at
+//! admission.
 
-use simdram_core::{PlanBuilder, SimdramConfig, SimdramMachine};
+use simdram_core::{Plan, PlanBuilder, SimdVector, SimdramConfig, SimdramMachine};
 use simdram_serve::{PlanServer, ServeConfig, ServeError, TenantSpec};
 
 fn server() -> PlanServer {
@@ -64,4 +65,45 @@ fn zero_weight_specs_are_clamped_at_registration() {
     assert_eq!(report.jobs_completed, 1);
     assert_eq!(report.tenants[0].weight, 1);
     assert_eq!(server.take_result(job).unwrap().output(out), &[6]);
+}
+
+/// `x + 1` over a staged input.
+fn increment(input: &SimdVector) -> Plan {
+    let mut builder = PlanBuilder::new();
+    let x = builder.input(input);
+    let one = builder.constant(8, input.len(), 1).unwrap();
+    let sum = builder.add(x, one).unwrap();
+    builder.materialize(sum).unwrap();
+    builder.compile().unwrap()
+}
+
+#[test]
+fn tenant_limits_reject_oversized_jobs_and_full_queues() {
+    let mut server = server();
+    let tenant = server.register_tenant(
+        TenantSpec::new("capped")
+            .with_max_chunks(1)
+            .with_max_queue_depth(1),
+    );
+    // 300 elements span two 256-lane subarrays: one chunk over the tenant's quota.
+    let wide = server.write_input(tenant, 8, &[1; 300]).unwrap();
+    let narrow = server.write_input(tenant, 8, &[1, 2, 3]).unwrap();
+    match server.submit(tenant, increment(&wide)) {
+        Err(ServeError::QuotaExceeded {
+            needed: 2,
+            quota: 1,
+            ..
+        }) => {}
+        other => panic!("expected QuotaExceeded, got {other:?}"),
+    }
+    server.submit(tenant, increment(&narrow)).unwrap();
+    match server.submit(tenant, increment(&narrow)) {
+        Err(ServeError::QueueFull { depth: 1, .. }) => {}
+        other => panic!("expected QueueFull, got {other:?}"),
+    }
+
+    let report = server.serve().unwrap();
+    assert_eq!(report.tenants[0].jobs_rejected, 2);
+    assert_eq!(report.tenants[0].jobs_submitted, 1);
+    assert_eq!(report.tenants[0].jobs_completed, 1);
 }
